@@ -6,8 +6,8 @@ per experiment, documented in docs/results_schema.md) and a structured-text
 manifest sufficient to reproduce the table byte for byte.  Exit codes:
 0 pass, 1 usage/config error, 2 statistical failure, 3 I/O failure.
 
-Flags override config-file values; DKLAB_THREADS caps worker threads and
-never changes results.
+Flags override config-file values; DKLAB_THREADS caps the worker threads
+of the path and SPDE ensembles and never changes results.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .duality import default_f_suite, equally_spaced_atoms, run_duality_test
 from .particles import EmpiricalMeasure, martingale_ensemble, qv_statistic
+from .parallel import thread_count
 from .pgf import (
     atomicity_verdict,
     compare_histogram,
@@ -223,6 +224,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
+    for name in ("alpha", "dt_factor"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise UsageError(f"{name}: must be finite, got {getattr(cfg, name)}")
     if cfg.alpha <= 0:
         raise UsageError(f"alpha: must be positive, got {cfg.alpha}")
     if cfg.experiment in ("duality", "martingale") and not float(cfg.alpha).is_integer():
@@ -242,6 +246,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"dt_factor: must be in (0, 1], got {cfg.dt_factor}")
     if cfg.order < 1 or cfg.order > 64:
         raise UsageError(f"order: must be in 1..64, got {cfg.order}")
+    if cfg.suite < 1:
+        raise UsageError(f"suite: must be positive, got {cfg.suite}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +406,7 @@ def _run_vhj_check(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def _manifest_text(cfg: RunConfig, verdicts, seeds, digest, wall) -> str:
+def _manifest_text(cfg: RunConfig, verdicts, seeds, digest, wall, threads) -> str:
     lines = [
         "manifest_version = 1",
         f"code_version = {__version__}",
@@ -423,7 +429,7 @@ def _manifest_text(cfg: RunConfig, verdicts, seeds, digest, wall) -> str:
         f"stream_seeds = {','.join(str(s) for s in seeds)}",
         f"verdicts = {','.join(verdicts)}",
         f"wall_seconds = {wall:.3f}",
-        f"threads_observed = {os.environ.get('DKLAB_THREADS', 'unset')}",
+        f"threads_observed = {threads}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -465,6 +471,7 @@ def config_from_manifest(m: dict, out_path: str) -> RunConfig:
 def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the exit code."""
     start = time.perf_counter()
+    threads = thread_count()
     statistical_ok = True
     if cfg.experiment == "duality":
         header, rows, verdicts, seeds = _run_duality(cfg)
@@ -487,7 +494,7 @@ def run(cfg: RunConfig) -> int:
         digest = hashlib.sha256(blob).hexdigest()
         wall = time.perf_counter() - start
         with open(cfg.out + ".manifest", "w") as fh:
-            fh.write(_manifest_text(cfg, verdicts, seeds, digest, wall))
+            fh.write(_manifest_text(cfg, verdicts, seeds, digest, wall, threads))
     except OSError as exc:
         print(f"dklab: I/O failure: {exc}", file=sys.stderr)
         return 3
@@ -503,18 +510,22 @@ def replay(manifest_path: str, out_path: str | None) -> int:
     except OSError as exc:
         print(f"dklab: cannot read manifest: {exc}", file=sys.stderr)
         return 3
-    out_path = out_path or m["results_file"] + ".replay"
-    cfg = config_from_manifest(m, out_path)
+    try:
+        recorded = m["results_sha256"]
+        out_path = out_path or m["results_file"] + ".replay"
+        cfg = config_from_manifest(m, out_path)
+    except KeyError as exc:
+        raise UsageError(f"manifest {manifest_path}: missing key {exc}") from exc
     code = run(cfg)
     if code not in (0, 2):
         return code
     with open(out_path, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    if digest == m["results_sha256"]:
+    if digest == recorded:
         print(f"replay: byte-identical ({digest})")
         return 0
     print(
-        f"replay: MISMATCH recorded {m['results_sha256']} regenerated {digest}",
+        f"replay: MISMATCH recorded {recorded} regenerated {digest}",
         file=sys.stderr,
     )
     return 2

@@ -24,7 +24,14 @@ from functools import cached_property
 import numpy as np
 
 from .parallel import run_chunked
-from .rng import RngStream, StreamBank, REPLICATE_STRIDE, gaussian_increment
+from .rng import (
+    REPLICATE_STRIDE,
+    RngStream,
+    StreamBank,
+    gaussian_increment,
+    replicate_stream_ids,
+    standard_normals,
+)
 from .torus import FourierFunction, carre_du_champ, generator_L, wrap
 
 
@@ -89,9 +96,6 @@ class ParticlePath:
     @cached_property
     def states(self) -> list[EmpiricalMeasure]:
         return [EmpiricalMeasure(row) for row in self.positions]
-
-    def measure_at(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.positions[k])
 
 
 @dataclass(frozen=True)
@@ -261,9 +265,10 @@ def qv_statistic(samples, t_index: int = -1) -> QvReport:
 
 # -- vectorized ensemble drivers ---------------------------------------------
 #
-# The replicate loops below reproduce, bit for bit, what per-replicate
+# The drivers below reproduce, bit for bit, what per-replicate
 # simulate_path / sample_terminal calls would draw (same stream keys, same
-# draw order); only the post-processing is batched.
+# draw order); the one-draw streams are computed as arrays and the
+# post-processing is batched.
 
 
 def standard_increments(
@@ -271,21 +276,12 @@ def standard_increments(
 ) -> np.ndarray:
     """One standard normal per (replicate, particle), shape (replicates, n).
 
-    Replicate r (global index first_replicate + r) particle i draws from
-    stream (seed, (first_replicate + r) * 2**32 + i); values depend only on
-    those keys, so the chunked parallel fill is schedule-independent.
+    Replicate r (global index first_replicate + r) particle i takes the
+    first draw of stream (seed, (first_replicate + r) * 2**32 + i).  The
+    draws are computed as one array by standard_normals, not in the thread
+    pool; threads is accepted for call compatibility and has no effect.
     """
-    xi = np.empty((replicates, n))
-
-    def fill(lo, hi):
-        bank = StreamBank(seed)
-        for r in range(lo, hi):
-            base = (first_replicate + r) * REPLICATE_STRIDE
-            for i in range(n):
-                xi[r, i] = bank.normals(base + i, 1)[0]
-
-    run_chunked(replicates, fill, threads)
-    return xi
+    return standard_normals(seed, replicate_stream_ids(replicates, n, first_replicate))
 
 
 def terminal_ensemble(
@@ -295,11 +291,10 @@ def terminal_ensemble(
     replicates: int,
     seed: int,
     first_replicate: int = 0,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Positions of mu_t for a block of replicates, shape (replicates, n)."""
     n = require_integer_alpha(alpha, mu0.n)
-    xi = standard_increments(n, replicates, seed, first_replicate, threads)
+    xi = standard_increments(n, replicates, seed, first_replicate)
     if t == 0.0:
         return np.tile(mu0.positions, (replicates, 1))
     return wrap(mu0.positions[None, :] + np.sqrt(n * t) * xi)

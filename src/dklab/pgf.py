@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .particles import EmpiricalMeasure, require_integer_alpha, terminal_ensemble
 from .torus import FourierFunction, TorusDomain, heat_semigroup
@@ -606,6 +605,8 @@ def compare_histogram(
     Bins with expected count below 5 are merged into their neighbor.
     Returns (statistic, p_value).
     """
+    from scipy import stats  # imported here: scipy dominates `import dklab` otherwise
+
     obs = mc.coefficients * replicates
     exp = np.asarray(reference, dtype=float) * replicates
     if exp.size != obs.size:

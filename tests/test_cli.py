@@ -3,10 +3,15 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
+import warnings
 
 import pytest
 
+import dklab
 from dklab.cli import UsageError, main, parse_config, parse_manifest
+from dklab.parallel import thread_count
 
 
 def run_cli(argv):
@@ -131,6 +136,41 @@ class TestRuns:
         assert run_cli(["duality", "--alpha", "-3"]) == 1
 
 
+# requests that must be refused (exit 1, one message, no warning, no output)
+REFUSED = {
+    "breakdown-alpha-nan": ["breakdown", "--alpha", "nan", "--grid", "64",
+                            "--replicates", "2", "--max-steps", "200"],
+    "vhj-check-suite-0": ["vhj-check", "--alpha", "1", "--suite", "0"],
+    "replay-missing-keys": ["replay", "--manifest", "{manifest}"],
+    "pgf-alpha-inf": ["pgf", "--alpha", "inf"],
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+    def test_invalid_request_exits_1_cleanly(self, argv, tmp_path, capsys):
+        manifest = tmp_path / "missing-keys.manifest"
+        manifest.write_text("experiment = pgf\nalpha = 1.5\n")
+        out = tmp_path / "refused.csv"
+        argv = [a.replace("{manifest}", str(manifest)) for a in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert not caught
+        assert err.startswith("dklab: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(pathlib.Path(dklab.__file__).parents[1])
+        probe = "import sys, dklab, dklab.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "False"
+
+
 class TestReproducibility:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -150,6 +190,22 @@ class TestReproducibility:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_manifest_records_thread_count_in_effect(self, tmp_path, monkeypatch):
+        args = ["pgf", "--alpha", "1.5", "--t", "0.05", "--seed", "21"]
+        digests = []
+        for threads in ("3", None):
+            if threads is None:
+                monkeypatch.delenv("DKLAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("DKLAB_THREADS", threads)
+            out = tmp_path / f"t{threads}.csv"
+            assert run_cli(args + ["--out", str(out)]) == 0
+            m = parse_manifest(str(out) + ".manifest")
+            assert m["threads_observed"] == str(thread_count())
+            digests.append(m["results_sha256"])
+        assert m["threads_observed"] == str(os.cpu_count() or 1)
+        assert digests[0] == digests[1]
 
     def test_replay_byte_identical(self, tmp_path):
         out = tmp_path / "orig.csv"
