@@ -63,6 +63,7 @@ from .torus import (
     FourierFunction,
     TorusDomain,
     carre_du_champ,
+    fourier_moments,
     generator_L,
     heat_semigroup,
     product,

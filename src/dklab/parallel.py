@@ -25,17 +25,30 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_chunked(total: int, worker, threads: int | None = None, min_chunk: int = 256):
+def run_chunked(
+    total: int,
+    worker,
+    threads: int | None = None,
+    min_chunk: int = 256,
+    max_chunk: int | None = None,
+):
     """Call worker(lo, hi) over a partition of range(total).
 
     worker must only write to state indexed by [lo, hi), and the value at
     each index must be a function of the index alone (stream-keyed draws),
     so neither chunk boundaries nor scheduling can change the result.
+
+    Chunks aim at four per thread and hold at least min_chunk indices,
+    but never more than max_chunk: a caller whose worker allocates per
+    index passes the count its memory budget allows, so the memory in use
+    stays bounded however large total is.
     """
     threads = threads or thread_count()
     if total <= 0:
         return
     chunk = max(min_chunk, -(-total // max(1, 4 * threads)))
+    if max_chunk is not None:
+        chunk = min(chunk, max(1, max_chunk))
     spans = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if threads == 1 or len(spans) == 1:
         for lo, hi in spans:

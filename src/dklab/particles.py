@@ -14,6 +14,16 @@ together with its predicted quadratic variation int_0^t <mu_s, Gamma phi> ds.
 Brownian increments are exact in law at the stored grid times (Gaussian
 increments plus wrap-around), so the only discretization error is the
 trapezoid rule in the two time integrals, O((t/num_steps)^2) per integral.
+
+Every pairing <mu, f> goes through the empirical Fourier moments
+m_k = mean_i exp(2 pi i k x_i) of torus.fourier_moments: one complex
+exponential per atom and state, after which <mu, phi>, <mu, L phi> and
+<mu, Gamma phi> are dot products with their coefficients
+(FourierFunction.pair_moments).  The ensemble driver integrates the
+moments over time before pairing, since it keeps only the final M_t and
+qv_t, and it simulates paths in chunks whose arrays hold at most
+_CHUNK_BYTES bytes each, so its memory does not grow with the replicate
+count.
 """
 
 from __future__ import annotations
@@ -32,7 +42,11 @@ from .rng import (
     replicate_stream_ids,
     standard_normals,
 )
-from .torus import FourierFunction, carre_du_champ, generator_L, wrap
+from .torus import FourierFunction, carre_du_champ, fourier_moments, generator_L, wrap
+
+# bytes of one chunk array (replicates x particles x grid times, float64)
+# in martingale_ensemble; the complex moment arrays take twice that
+_CHUNK_BYTES = 1 << 21
 
 
 def require_integer_alpha(alpha, n_atoms: int) -> int:
@@ -69,14 +83,10 @@ class EmpiricalMeasure:
     def n(self) -> int:
         return self.positions.size
 
-    def integrate(self, f) -> float:
-        """<mu, f> = (1/n) sum f(x_i), exact."""
-        return float(np.mean(f(self.positions)))
-
 
 def pair_against(phi: FourierFunction, mu: EmpiricalMeasure) -> float:
-    """<mu, phi>: the exact average of phi over the atoms."""
-    return mu.integrate(phi)
+    """<mu, phi>: the average of phi over the atoms, from their Fourier moments."""
+    return float(phi.pair_moments(fourier_moments(mu.positions, phi.max_mode)))
 
 
 @dataclass(frozen=True)
@@ -180,31 +190,28 @@ def martingale_functional(path: ParticlePath, phi: FourierFunction) -> Martingal
     """
     lphi = generator_L(phi)
     gphi = carre_du_champ(phi)
-    pairing = phi.evaluate(path.positions).mean(axis=1)
-    l_pairing = lphi.evaluate(path.positions).mean(axis=1)
-    g_pairing = gphi.evaluate(path.positions).mean(axis=1)
-    m, qv = _assemble_functionals(
-        path.times, pairing, l_pairing, g_pairing, path.alpha
+    moments = fourier_moments(path.positions, _moment_order(phi, lphi, gphi))
+    dt = np.diff(path.times)
+    cumtrap = lambda y: np.concatenate(  # noqa: E731
+        [[0.0], np.cumsum(0.5 * dt * (y[1:] + y[:-1]))]
     )
+    pairing = phi.pair_moments(moments)
+    m = pairing - pairing[0] - 0.5 * path.alpha * cumtrap(lphi.pair_moments(moments))
+    qv = cumtrap(gphi.pair_moments(moments))
     return MartingaleSample(phi=phi, times=path.times, m_values=m, qv_integral=qv)
 
 
-def _assemble_functionals(times, pairing, l_pairing, g_pairing, alpha):
-    """Trapezoid accumulation shared by the single-path and ensemble drivers.
+def _moment_order(*fs: FourierFunction) -> int:
+    return max(f.max_mode for f in fs)
 
-    pairing arrays may be (T,) or (R, T); operates along the last axis.
-    """
+
+def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
+    """w with sum_j w_j y_j the trapezoid rule for the integral of y over times."""
     dt = np.diff(times)
-    cumtrap = lambda y: np.concatenate(  # noqa: E731
-        [
-            np.zeros(y.shape[:-1] + (1,)),
-            np.cumsum(0.5 * dt * (y[..., 1:] + y[..., :-1]), axis=-1),
-        ],
-        axis=-1,
-    )
-    m = pairing - pairing[..., :1] - 0.5 * alpha * cumtrap(l_pairing)
-    qv = cumtrap(g_pairing)
-    return m, qv
+    w = np.zeros(times.size)
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    return w
 
 
 @dataclass(frozen=True)
@@ -312,37 +319,44 @@ def martingale_ensemble(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Final-time (M_t(phi), qv_t) over an ensemble of paths.
 
-    Returns (m_final, qv_final, t_final) ready for qv_statistic.  Paths are
-    simulated in chunks: the per-replicate stream draws are identical to
-    simulate_path, the phi evaluations are batched.
+    Returns (m_final, qv_final, t_final) ready for qv_statistic.  The
+    per-replicate stream draws are identical to simulate_path.  Each chunk
+    of paths is reduced to the Fourier moments of its final states and the
+    trapezoid time integral of its moments, and the three pairings are
+    taken from those; a chunk holds at most _CHUNK_BYTES bytes of
+    positions, whatever the replicate count.
     """
     n = require_integer_alpha(alpha, mu0.n)
     times = np.linspace(0.0, t_final, num_steps + 1)
-    dt_internal = n * (t_final / num_steps)
+    sigma = np.sqrt(n * (t_final / num_steps))
     lphi = generator_L(phi)
     gphi = carre_du_champ(phi)
+    order = _moment_order(phi, lphi, gphi)
+    # weights of the time integral of the particle mean, over (particle, time)
+    weights = np.tile(_trapezoid_weights(times) / n, n)
+    start = phi.pair_moments(fourier_moments(mu0.positions, order))
     m_final = np.empty(replicates)
     qv_final = np.empty(replicates)
-    sigma = np.sqrt(dt_internal)
 
     def fill(lo, hi):
         bank = StreamBank(seed)
-        incr = np.empty((hi - lo, num_steps, n))
+        # x[r, i] is particle i of replicate lo + r along the grid; column 0
+        # is zero so that the cumulative sum starts from the initial atom
+        x = np.zeros((hi - lo, n, num_steps + 1))
         for r in range(lo, hi):
             base = r * REPLICATE_STRIDE
             for i in range(n):
-                incr[r - lo, :, i] = bank.normals(base + i, num_steps)
-        pos = np.empty((hi - lo, num_steps + 1, n))
-        pos[:, 0, :] = mu0.positions
-        pos[:, 1:, :] = wrap(
-            mu0.positions[None, None, :] + sigma * np.cumsum(incr, axis=1)
+                x[r - lo, i, 1:] = bank.normals(base + i, num_steps)
+        np.cumsum(x, axis=-1, out=x)
+        x *= sigma
+        x += mu0.positions[None, :, None]
+        final = fourier_moments(x[:, :, -1], order)
+        integral = fourier_moments(x.reshape(hi - lo, -1), order, weights)
+        m_final[lo:hi] = (
+            phi.pair_moments(final) - start - 0.5 * n * lphi.pair_moments(integral)
         )
-        pairing = phi.evaluate(pos).mean(axis=2)
-        l_pairing = lphi.evaluate(pos).mean(axis=2)
-        g_pairing = gphi.evaluate(pos).mean(axis=2)
-        m, qv = _assemble_functionals(times, pairing, l_pairing, g_pairing, n)
-        m_final[lo:hi] = m[:, -1]
-        qv_final[lo:hi] = qv[:, -1]
+        qv_final[lo:hi] = gphi.pair_moments(integral)
 
-    run_chunked(replicates, fill, threads, min_chunk=512)
+    cap = max(1, _CHUNK_BYTES // ((num_steps + 1) * n * 8))
+    run_chunked(replicates, fill, threads, min_chunk=512, max_chunk=cap)
     return m_final, qv_final, t_final

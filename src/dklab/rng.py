@@ -19,9 +19,7 @@ that word into a normal on its fast path, with the tables frozen below.
 The keys whose word misses the fast path (about 1.5%) need further words
 and are drawn one by one through StreamBank.  Either way the value is bit
 for bit StreamBank(seed).normals(id, 1)[0], which is the first
-standard_normal() of RngStream(seed, id) whenever seed and id are below
-2**63 (RngStream hands numpy its key as a tuple, and numpy rounds a word
->= 2**63 in it through float64).
+standard_normal() of RngStream(seed, id) for every 64-bit seed and id.
 """
 
 from __future__ import annotations
@@ -61,7 +59,11 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            bg = np.random.Philox(key=(self.seed & _MASK64, self.stream_id & _MASK64))
+            # key and state as uint64 arrays: numpy reads a tuple key through
+            # float64, which rounds words >= 2**63
+            state = _philox_state(self.seed, self.stream_id)
+            bg = np.random.Philox(key=state["state"]["key"])
+            bg.state = state
             self._gen = np.random.Generator(bg)
         return self._gen
 

@@ -152,6 +152,25 @@ class FourierFunction:
                 out += b * np.sin(ang)
         return out if out.shape else float(out)
 
+    def pair_moments(self, moments):
+        """<mu, f> from the Fourier moments of mu (see fourier_moments).
+
+        moments[..., k] is m_k for k = 0..K with K >= max_mode, and the
+        pairing is mean * m_0 + sum_k a_k Re m_k + b_k Im m_k.  It is linear
+        in the moments, so pairing time-integrated moments gives the time
+        integral of the pairing.
+        """
+        m = np.asarray(moments)
+        k = self.max_mode
+        if m.shape[-1] <= k:
+            raise ValueError(f"need moments up to mode {k}, got {m.shape[-1] - 1}")
+        head = m[..., 1 : k + 1]
+        return (
+            self.mean * m[..., 0].real
+            + np.einsum("...k,k->...", head.real, self.cos_coeffs)
+            + np.einsum("...k,k->...", head.imag, self.sin_coeffs)
+        )
+
     def sample(self, dom: TorusDomain, oversample: int = 1) -> np.ndarray:
         """Exact samples on the domain grid via inverse FFT.
 
@@ -212,6 +231,42 @@ class FourierFunction:
         return FourierFunction(self.mean * s, self.cos_coeffs * s, self.sin_coeffs * s)
 
     __rmul__ = __mul__
+
+
+def fourier_moments(x, max_mode: int, weights=None) -> np.ndarray:
+    """Fourier moments m_k = sum_j w_j exp(2 pi i k x_j), k = 0..max_mode.
+
+    The sum runs over the last axis of x; the result has shape
+    x.shape[:-1] + (max_mode + 1,).  With weights None every point weighs
+    1/N, so m_k is the k-th moment of the empirical measure of the points
+    and m_0 = 1 exactly; FourierFunction.pair_moments turns the moments
+    into <mu, f>, for every f up to mode max_mode, at the cost of a dot
+    product.
+
+    One complex exponential per point gives mode 1 and complex multiplies
+    the higher modes.  exp(2 pi i k x) has period 1, so x need not be
+    wrapped.  The weighted sums use einsum rather than matmul: BLAS rounds
+    a row differently depending on how many rows it is handed, which
+    would tie the result to how a caller batches its points.
+    """
+    x = np.asarray(x, dtype=float)
+    if weights is None:
+        w = np.full(x.shape[-1], 1.0 / x.shape[-1])
+        mass = 1.0
+    else:
+        w = np.asarray(weights, dtype=float)
+        mass = w.sum()
+    out = np.empty(x.shape[:-1] + (max_mode + 1,), dtype=complex)
+    out[..., 0] = mass
+    if max_mode < 1:
+        return out
+    e1 = np.exp((1j * TWO_PI) * x)
+    ek = e1.copy()
+    for k in range(1, max_mode + 1):
+        if k > 1:
+            ek *= e1
+        out[..., k] = np.einsum("...j,j->...", ek, w)
+    return out
 
 
 def product(f: FourierFunction, g: FourierFunction) -> FourierFunction:

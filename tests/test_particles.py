@@ -1,9 +1,12 @@
 """Particle construction, martingale functional and QV statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from dklab import particles
 from dklab import (
     EmpiricalMeasure,
     FourierFunction,
@@ -155,12 +158,67 @@ class TestMartingaleFunctional:
     def test_ensemble_matches_per_path(self):
         mu0 = EmpiricalMeasure([0.3, 0.8])
         phi = FourierFunction.from_modes(cos={1: 0.5})
-        m, qv, t = martingale_ensemble(mu0, 2, phi, 0.05, 30, 10, seed=34)
-        for r in range(10):
-            path = simulate_path(mu0, 2, 0.05, 30, replicate_stream(34, r))
-            ms = martingale_functional(path, phi)
-            assert abs(ms.m_values[-1] - m[r]) < 1e-12
-            assert abs(ms.qv_integral[-1] - qv[r]) < 1e-12
+        for seed in (34, 2**63 + 34):
+            m, qv, t = martingale_ensemble(mu0, 2, phi, 0.05, 30, 10, seed=seed)
+            for r in range(10):
+                path = simulate_path(mu0, 2, 0.05, 30, replicate_stream(seed, r))
+                ms = martingale_functional(path, phi)
+                assert abs(ms.m_values[-1] - m[r]) < 1e-12
+                assert abs(ms.qv_integral[-1] - qv[r]) < 1e-12
+
+
+class TestEnsembleChunks:
+    """Chunk boundaries never change results, and chunks respect the byte budget."""
+
+    PHI = FourierFunction.from_modes(mean=0.2, cos={1: 0.6}, sin={3: 0.4})
+
+    def test_threads_and_budget_do_not_change_results(self, monkeypatch):
+        args = (EmpiricalMeasure([0.1, 0.5, 0.7]), 3, self.PHI, 0.03, 40, 3000, 2**63 + 77)
+        monkeypatch.setenv("DKLAB_THREADS", "1")
+        m1, qv1, _ = martingale_ensemble(*args)
+        monkeypatch.setenv("DKLAB_THREADS", "2")
+        m2, qv2, _ = martingale_ensemble(*args)
+        assert np.array_equal(m1, m2) and np.array_equal(qv1, qv2)
+        for budget in (7 * 41 * 3 * 8, 1):  # 7 replicates per chunk, then 1
+            monkeypatch.setattr(particles, "_CHUNK_BYTES", budget)
+            m3, qv3, _ = martingale_ensemble(*args)
+            assert np.array_equal(m1, m3) and np.array_equal(qv1, qv3)
+
+    def test_every_chunk_within_budget(self, monkeypatch):
+        spans = []
+        run_chunked = particles.run_chunked
+
+        def recording(total, worker, *args, **kwargs):
+            def record(lo, hi):
+                spans.append((lo, hi))
+                worker(lo, hi)
+            return run_chunked(total, record, *args, **kwargs)
+
+        monkeypatch.setattr(particles, "run_chunked", recording)
+        n, steps, replicates = 5, 200, 3000
+        martingale_ensemble(EmpiricalMeasure(np.arange(n) / n), n, self.PHI, 0.02, steps,
+                            replicates, 5)
+        spans.sort()
+        assert spans[0][0] == 0 and spans[-1][1] == replicates
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert all((hi - lo) * (steps + 1) * n * 8 <= particles._CHUNK_BYTES for lo, hi in spans)
+
+    def test_peak_memory_does_not_grow_with_replicates(self):
+        # n = 5 and 200 steps: both runs take chunks of the budgeted size
+        mu0 = EmpiricalMeasure(np.arange(5) / 5)
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                martingale_ensemble(mu0, 5, self.PHI, 0.02, 200, replicates, 9, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations are not chunk memory
+        small, large = peak(2000), peak(20000)
+        outputs = 2 * 8 * (20000 - 2000)  # m_final and qv_final
+        assert large - small <= outputs + 64 * 1024
 
 
 class TestQvStatistic:

@@ -1,5 +1,7 @@
 """Stream independence, determinism and distributional quality."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -68,6 +70,19 @@ def test_stream_bank_matches_fresh_streams():
     for sid, count in zip(ids, counts):
         fresh = RngStream(321, sid).generator.standard_normal(count)
         assert np.array_equal(bits(bank.normals(sid, count)), bits(fresh))
+
+
+def test_stream_keys_at_and_above_two_to_the_63():
+    # every 64-bit key word reaches numpy exactly, with no float64 rounding
+    keys = [(2**63, 0), (2**63 + 5, 0), (U64 - 2, 0), (5, 2**63 + 1), (U64, U64)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, sid in keys:
+            got = RngStream(seed, sid).generator.standard_normal(16)
+            assert np.array_equal(bits(got), bits(StreamBank(seed).normals(sid, 16)))
+    a = RngStream(2**63 + 5, 0).generator.standard_normal(8)
+    b = RngStream(2**63, 0).generator.standard_normal(8)
+    assert not np.array_equal(a, b)
 
 
 def reference_increments(n, replicates, seed, first_replicate):

@@ -5,11 +5,14 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dklab import (
     FourierFunction,
     TorusDomain,
     carre_du_champ,
+    fourier_moments,
     generator_L,
     heat_semigroup,
     product,
@@ -69,6 +72,44 @@ class TestFourierFunction:
         assert abs(fg.mean - 0.5) < 1e-14
         assert abs(fg.cos_coeffs[1] - 0.5) < 1e-14
         assert np.all(np.abs(fg.sin_coeffs) < 1e-14)
+
+
+class TestFourierMoments:
+    """The moments pairing against the pointwise evaluation it replaces."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_mode=st.integers(0, 8),
+        which=st.sampled_from(["f", "L", "Gamma"]),
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    )
+    @example(seed=1, max_mode=0, which="f", shape=[3, 4, 1])
+    @example(seed=2, max_mode=0, which="Gamma", shape=[2, 3, 1])
+    @example(seed=3, max_mode=8, which="Gamma", shape=[4, 6, 1])
+    @example(seed=4, max_mode=8, which="L", shape=[2, 7, 5])
+    def test_pairing_matches_evaluate(self, seed, max_mode, which, shape):
+        f = random_fourier_suite(seed, 1, max_mode=max_mode)[0]
+        g = {"f": f, "L": generator_L(f), "Gamma": carre_du_champ(f)}[which]
+        rng = np.random.Generator(np.random.Philox(key=(seed, 1)))
+        x = rng.uniform(-3.0, 4.0, shape)  # unwrapped, as the path drivers pass them
+        w = rng.uniform(0.0, 1.0, shape[-1])
+        tol = 1e-12 * (
+            1.0 + abs(g.mean) + np.abs(g.cos_coeffs).sum() + np.abs(g.sin_coeffs).sum()
+        )
+        got = g.pair_moments(fourier_moments(x, g.max_mode))
+        want = g.evaluate(x).mean(axis=-1)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= tol)
+        weighted = g.pair_moments(fourier_moments(x, g.max_mode, w))
+        assert np.all(np.abs(weighted - (g.evaluate(x) * w).sum(axis=-1)) <= 2 * tol)
+
+    def test_mass_and_order(self):
+        m = fourier_moments(np.array([[0.1, 0.7, 0.2]]), 4)
+        assert m.shape == (1, 5)
+        assert m[0, 0] == 1.0
+        with pytest.raises(ValueError, match="mode 3"):
+            FourierFunction.from_modes(cos={3: 1.0}).pair_moments(m[..., :3])
 
 
 class TestGenerator:
