@@ -238,7 +238,8 @@ def qv_statistic(samples, t_index: int = -1) -> QvReport:
 
     The QV z-score uses the paired per-replicate differences
     M_t^2 - qv_t, which is the correct standard error for testing that
-    their common mean gap is zero.
+    their common mean gap is zero.  Raises ValueError for fewer than 100
+    replicates or for any non-finite M_t or qv_t.
     """
     if isinstance(samples, tuple):
         m_final, qv_final, t = samples
@@ -252,6 +253,10 @@ def qv_statistic(samples, t_index: int = -1) -> QvReport:
     r = m_final.size
     if r < 100:
         raise ValueError(f"need at least 100 replicates, got {r}")
+    # a NaN standard error would read as z = 0 below, so a non-finite
+    # ensemble would pass
+    if not (np.all(np.isfinite(m_final)) and np.all(np.isfinite(qv_final))):
+        raise ValueError("the ensemble holds non-finite M_t or qv_t values")
     se = lambda x: float(np.std(x, ddof=1) / np.sqrt(x.size))  # noqa: E731
     mean_m = float(np.mean(m_final))
     se_m = se(m_final)

@@ -51,8 +51,16 @@ class TorusDomain:
 
 
 def wrap(x: np.ndarray | float) -> np.ndarray | float:
-    """Reduce coordinates modulo 1 into [0, 1)."""
-    return np.mod(x, 1.0)
+    """Reduce coordinates modulo 1 into [0, 1).
+
+    Bit for bit np.mod(x, 1.0), at a fraction of its cost.  np.mod takes
+    the exact remainder fmod(x, 1) and, for x < 0 with a nonzero
+    remainder, adds 1 and rounds once; x - floor(x) is that same real
+    number, rounded once (and exact for x >= 0).  A zero remainder gives
+    +0.0 either way, and inf or nan gives nan.  As with np.mod, a tiny
+    negative x rounds up to 1.0.
+    """
+    return x - np.floor(x)
 
 
 @dataclass(frozen=True)
@@ -140,16 +148,22 @@ class FourierFunction:
         """Evaluate at arbitrary points (periodic, so no wrapping needed)."""
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, self.mean)
+        ang = np.empty(x.shape)
+        term = np.empty(x.shape)
         for k in range(1, self.max_mode + 1):
             a = self.cos_coeffs[k - 1]
             b = self.sin_coeffs[k - 1]
             if a == 0.0 and b == 0.0:
                 continue
-            ang = TWO_PI * k * x
+            np.multiply(TWO_PI * k, x, out=ang)
             if a != 0.0:
-                out += a * np.cos(ang)
+                np.cos(ang, out=term)
+                term *= a
+                out += term
             if b != 0.0:
-                out += b * np.sin(ang)
+                np.sin(ang, out=term)
+                term *= b
+                out += term
         return out if out.shape else float(out)
 
     def pair_moments(self, moments):

@@ -211,7 +211,17 @@ def test_criterion_6_nonexistence_witnesses(dom):
 
 
 def test_criterion_7_breakdown_ensemble():
-    """Negativity within 1e4 steps for >=95/100 seeds, robust to dt/4."""
+    """Negativity within 1e4 steps for >=95/100 seeds, robust to dt/4.
+
+    Every member goes negative at step 1, at both dt (the frozen median
+    step is 1), so this criterion tests a single SPDE step.  That fits the
+    theorem: from a density (absolutely continuous initial data) no
+    solution exists at any alpha, so the scheme has nothing to follow.  At
+    a stable dt, of order dx**2, the first step's noise changes a cell of
+    unit density by a centred normal of standard deviation
+    sqrt(2 dt) * dx**-1.5: about 13 at grid 256 and the base dt, and
+    growing like dx**-0.5 as the grid is refined.
+    """
     frozen = json.loads(FIXTURES.read_text())["breakdown"]
     dom = TorusDomain(256)
     alpha = 1.5

@@ -131,6 +131,21 @@ class TestRuns:
         header = out.read_text().splitlines()[0]
         assert header.startswith("alpha,t,phi_id,replicates,mean_m")
 
+    def test_martingale_non_finite_ensemble_exits_1(self, tmp_path, capsys):
+        # t = inf gives NaN paths; they must be refused, never passed
+        out = tmp_path / "nan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run_cli(
+                ["martingale", "--alpha", "1", "--t", "inf", "--replicates", "200",
+                 "--num-steps", "20", "--out", str(out)]
+            )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert "pass" not in captured.out + captured.err
+        assert not out.exists()
+
     def test_usage_error_exit_code(self, tmp_path):
         assert run_cli(["duality"]) == 1
         assert run_cli(["duality", "--alpha", "-3"]) == 1

@@ -8,7 +8,9 @@ digest.
 
 History: martingale moved by round-off when the pairings went through
 shared Fourier moments (was 50dddb79...bd64891); all other pins are
-unchanged since the seed import.
+unchanged since the seed import.  The two "several-blocks" pins were
+recorded before the one-draw Philox kernel went in place over larger
+blocks, and hold the new kernel to the old one's bits.
 """
 
 import pytest
@@ -19,6 +21,11 @@ CASES = {
     "duality": (
         ["duality", "--alpha", "2", "--t", "0.02", "--replicates", "4000", "--seed", "3"],
         "6bfb9d5c6f1077f4970a0015a4fede7b2a87bc9bdf8af1e7d2b8ebe382a8167d",
+    ),
+    # 5 * 10**4 one-draw keys per cell: several blocks of rng.standard_normals
+    "duality-several-blocks": (
+        ["duality", "--alpha", "5", "--t", "0.02", "--replicates", "20000", "--seed", "3"],
+        "7c840052245445ec782bf8490df3cd2e000237d1653a58aedc30d6a208d85faa",
     ),
     "martingale": (
         ["martingale", "--alpha", "2", "--t", "0.02", "--replicates", "2000",
@@ -32,6 +39,10 @@ CASES = {
     "pgf-integer-monte-carlo": (
         ["pgf", "--alpha", "2", "--t", "0.05", "--replicates", "5000", "--seed", "42"],
         "911f3aa7467182ae62730f5046c56300f93b619837e0fb78ed02db465d08b301",
+    ),
+    "pgf-integer-monte-carlo-several-blocks": (
+        ["pgf", "--alpha", "2", "--t", "0.05", "--replicates", "25000", "--seed", "42"],
+        "a410b4d74094f1a1601a6089d7a6fe7abc6cd48727986a38b76aeaeffbf9abe5",
     ),
     "breakdown": (
         ["breakdown", "--alpha", "1.5", "--grid", "64", "--replicates", "10",

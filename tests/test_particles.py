@@ -226,6 +226,17 @@ class TestQvStatistic:
         with pytest.raises(ValueError, match="100"):
             qv_statistic((np.zeros(50), np.zeros(50), 0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["m", "qv"])
+    def test_non_finite_ensemble_refused(self, bad, which):
+        # a NaN standard error must not read as z = 0 and pass
+        m, qv = np.linspace(-1.0, 1.0, 200), np.linspace(0.5, 1.5, 200)
+        (m if which == "m" else qv)[17] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qv_statistic((m, qv, 0.1))
+        with pytest.raises(ValueError, match="non-finite"):
+            qv_statistic((np.full(200, np.nan), np.full(200, np.nan), 0.1))
+
     def test_zero_mean_and_qv_identity(self):
         # moderate-size ensemble; acceptance runs the full 1e5 version
         mu0 = EmpiricalMeasure([0.5])

@@ -112,6 +112,39 @@ def test_vectorised_first_draws_match_per_stream_draws(seed, first_replicate, n,
     assert np.array_equal(bits(got), bits(want))
 
 
+def numpy_first_words(seed, ids):
+    """Word 0 of each stream (seed, id), from numpy's own Philox."""
+    bg = np.random.Philox()
+    out = []
+    for sid in ids.tolist():
+        bg.state = rng._philox_state(seed, sid)
+        out.append(bg.random_raw())
+    return np.array(out, dtype=np.uint64)
+
+
+# the in-place kernel, run block by block through one reused scratch as
+# standard_normals runs it, against numpy's Philox4x64-10
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, U64),
+    first=st.integers(0, U64),
+    stride=st.integers(1, U64),
+    count=st.integers(1, 3 * rng._BLOCK).filter(lambda c: c % rng._BLOCK),
+)
+@example(seed=0, first=0, stride=1, count=1)
+@example(seed=U64, first=U64, stride=U64, count=rng._BLOCK + 1)
+@example(seed=2**63 + 5, first=2**63, stride=2**32 + 1, count=2 * rng._BLOCK - 1)
+def test_philox_first_words_match_numpy(seed, first, stride, count):
+    ids = np.uint64(first) + np.arange(count, dtype=np.uint64) * np.uint64(stride)
+    work = np.full((9, rng._BLOCK), U64, dtype=np.uint64)
+    got = np.concatenate([
+        rng._philox_first_words(seed, ids[lo : lo + rng._BLOCK], work).copy()
+        for lo in range(0, count, rng._BLOCK)
+    ])
+    assert np.array_equal(got, numpy_first_words(seed, ids))
+    assert np.array_equal(rng._philox_first_words(seed, ids), got)
+
+
 def test_stream_ids_wrap_mod_two_to_the_64():
     # replicate indices that differ by 2**32 give the same ids mod 2**64
     a = standard_increments(3, 10, 99, 2**32 - 4)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from dklab import (
     random_fourier_suite,
     wrap,
 )
+from dklab.torus import TWO_PI
 from oracles import gamma_by_defining_identity
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "frozen.json"
@@ -44,7 +46,48 @@ class TestTorusDomain:
 
     def test_wrap_reduces_mod_one(self):
         x = np.array([-0.25, 0.0, 1.25, 3.5])
-        assert np.allclose(wrap(x), [0.75, 0.0, 0.25, 0.5])
+        assert np.array_equal(wrap(x), [0.75, 0.0, 0.25, 0.5])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+SPECIAL = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+    1e-300, -1e-300, 2.0**-60, -(2.0**-60), 1.0, -1.0, -0.5, -(1 - 2.0**-53),
+    2.0**52, -(2.0**52), 2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**53 + 2, -(2.0**60), 1e300, -1e300,
+]
+
+
+class TestWrapMatchesMod:
+    """wrap against np.mod(x, 1.0), the expression it replaced, bit for bit."""
+
+    @staticmethod
+    def check(x):
+        x = np.asarray(x, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, fmod(inf)
+            want = np.mod(x, 1.0)
+            got = wrap(x)
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_specials(self):
+        self.check(SPECIAL)
+        for v in SPECIAL:
+            self.check(v)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=50))
+    def test_any_double(self, xs):
+        self.check(xs)
+
+    def test_every_scale(self):
+        rng = np.random.Generator(np.random.Philox(key=(8, 8)))
+        mags = 10.0 ** rng.uniform(-320.0, 20.0, 200_000)
+        self.check(rng.choice([-1.0, 1.0], mags.size) * mags)
+        self.check(rng.uniform(-3.0, 4.0, (40, 50)))  # as the duality pairing passes them
 
 
 class TestFourierFunction:
@@ -72,6 +115,53 @@ class TestFourierFunction:
         assert abs(fg.mean - 0.5) < 1e-14
         assert abs(fg.cos_coeffs[1] - 0.5) < 1e-14
         assert np.all(np.abs(fg.sin_coeffs) < 1e-14)
+
+
+def evaluate_per_mode(f, x):
+    """FourierFunction.evaluate as written before it reused scratch buffers."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, f.mean)
+    for k in range(1, f.max_mode + 1):
+        a = f.cos_coeffs[k - 1]
+        b = f.sin_coeffs[k - 1]
+        if a == 0.0 and b == 0.0:
+            continue
+        ang = TWO_PI * k * x
+        if a != 0.0:
+            out += a * np.cos(ang)
+        if b != 0.0:
+            out += b * np.sin(ang)
+    return out if out.shape else float(out)
+
+
+class TestEvaluateMatchesPerMode:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_mode=st.integers(0, 8),
+        shape=st.lists(st.integers(1, 6), min_size=0, max_size=3),
+        zero_cos=st.lists(st.booleans(), min_size=8, max_size=8),
+        zero_sin=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    @example(seed=1, max_mode=0, shape=[], zero_cos=[False] * 8, zero_sin=[False] * 8)
+    @example(seed=2, max_mode=8, shape=[], zero_cos=[True] * 8, zero_sin=[False] * 8)
+    @example(seed=3, max_mode=8, shape=[3, 4, 5], zero_cos=[True, False] * 4,
+             zero_sin=[True, True, False, False] * 2)
+    @example(seed=4, max_mode=5, shape=[7], zero_cos=[True] * 8, zero_sin=[True] * 8)
+    def test_bits_match(self, seed, max_mode, shape, zero_cos, zero_sin):
+        f = random_fourier_suite(seed, 1, max_mode=max_mode)[0]
+        a, b = f.cos_coeffs.copy(), f.sin_coeffs.copy()
+        a[np.array(zero_cos[:max_mode], dtype=bool)] = 0.0
+        b[np.array(zero_sin[:max_mode], dtype=bool)] = 0.0
+        f = FourierFunction(f.mean, a, b)
+        rng = np.random.Generator(np.random.Philox(key=(seed, 2)))
+        x = rng.uniform(-3.0, 4.0, shape)
+        got, want = f.evaluate(x), evaluate_per_mode(f, x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(bits(got), bits(want))
+        if not shape:
+            assert np.array_equal(bits(f.evaluate(float(x))), bits(want))
 
 
 class TestFourierMoments:
