@@ -6,19 +6,25 @@ per experiment, documented in docs/results_schema.md) and a structured-text
 manifest sufficient to reproduce the table byte for byte.  Exit codes:
 0 pass, 1 usage/config error, 2 statistical failure, 3 I/O failure.
 
-Flags override config-file values; DKLAB_THREADS caps the worker threads
-of the path and SPDE ensembles and never changes results.
+The config schema is written once, as the fields of RunConfig: the
+flags, the config-file keys, their defaults and the manifest's config
+echo are all read from them, and the argument parser is built from them
+once per process, on first use.  Flags override config-file values;
+DKLAB_THREADS caps the worker threads of the path and SPDE ensembles and
+never changes results.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 from . import __version__
 from .duality import default_f_suite, equally_spaced_atoms, run_duality_test
@@ -38,39 +44,6 @@ from .vhj import check_extremum_principles, check_gradient_estimate, cole_hopf, 
 
 EXPERIMENTS = ("duality", "martingale", "pgf", "breakdown", "vhj-check")
 
-DEFAULTS = {
-    "t": 0.05,
-    "replicates": 20000,
-    "seed": 20260809,
-    "grid": 256,
-    "mu0": "equally-spaced",
-    "f": "default",
-    "set_a": "0.2:0.45",
-    "order": 8,
-    "max_steps": 10000,
-    "dt_factor": 0.5,
-    "suite": 50,
-    "num_steps": 200,
-}
-
-_CONFIG_KEYS = {
-    "experiment",
-    "alpha",
-    "t",
-    "replicates",
-    "seed",
-    "grid",
-    "out",
-    "mu0",
-    "f",
-    "set_a",
-    "order",
-    "max_steps",
-    "dt_factor",
-    "suite",
-    "num_steps",
-}
-
 
 class UsageError(Exception):
     pass
@@ -78,22 +51,35 @@ class UsageError(Exception):
 
 @dataclass
 class RunConfig:
+    """One run's settings; its fields are the config schema.
+
+    Every field is a config-file key, and every field but experiment is
+    also a flag (underscores spelled as dashes: set_a is --set-a).  Flag,
+    file and manifest values are read through the field's annotated type,
+    a field's default is the value used when neither flag nor file gives
+    one, and the manifest echoes the fields in this order (out as its
+    results_file).
+    """
+
     experiment: str
     alpha: float
-    t: float
-    replicates: int
-    seed: int
-    grid: int
-    out: str
-    mu0: str = DEFAULTS["mu0"]
-    f: str = DEFAULTS["f"]
-    set_a: str = DEFAULTS["set_a"]
-    order: int = DEFAULTS["order"]
-    max_steps: int = DEFAULTS["max_steps"]
-    dt_factor: float = DEFAULTS["dt_factor"]
-    suite: int = DEFAULTS["suite"]
-    num_steps: int = DEFAULTS["num_steps"]
-    extra: dict = field(default_factory=dict)
+    t: float = 0.05
+    replicates: int = 20000
+    seed: int = 20260809
+    grid: int = 256
+    out: str | None = None  # None: dklab-<experiment>.csv
+    mu0: str = "equally-spaced"
+    f: str = "default"
+    set_a: str = "0.2:0.45"
+    order: int = 8
+    max_steps: int = 10000
+    dt_factor: float = 0.5
+    suite: int = 50
+    num_steps: int = 200
+
+    def __post_init__(self):
+        if self.out is None:
+            self.out = f"dklab-{self.experiment}.csv"
 
     def atoms(self) -> EmpiricalMeasure:
         if self.mu0 == "equally-spaced":
@@ -124,7 +110,30 @@ class RunConfig:
         return out
 
 
+# the schema, read once from RunConfig: each field's scalar type (str for
+# "str | None"), the config-file keys, and the settings that are flags
+_TYPES = {
+    name: next(t for t in (*get_args(hint), hint) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()
+}
+_CONFIG_KEYS = frozenset(_TYPES)
+_SETTINGS = tuple(name for name in _TYPES if name != "experiment")
+
+
+def _typed(name: str, value):
+    """A config value read as its field's type; a value of the wrong kind is a usage error."""
+    try:
+        return _TYPES[name](value)
+    except TypeError as exc:
+        raise UsageError(f"{name}: cannot read {value!r} as {_TYPES[name].__name__}") from exc
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    argparse keeps no state between parse_args calls, so every call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="dklab",
         description="Numerical experiments on the square-root-noise conservative SPDE",
@@ -133,20 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--replicates", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--mu0", type=str, default=None)
-        p.add_argument("--f", type=str, default=None)
-        p.add_argument("--set-a", dest="set_a", type=str, default=None)
-        p.add_argument("--order", type=int, default=None)
-        p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-        p.add_argument("--dt-factor", dest="dt_factor", type=float, default=None)
-        p.add_argument("--suite", type=int, default=None)
-        p.add_argument("--num-steps", dest="num_steps", type=int, default=None)
+        for key in _SETTINGS:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=_TYPES[key], default=None)
     rp = sub.add_parser("replay")
     rp.add_argument("--manifest", type=str, required=True)
     rp.add_argument("--out", type=str, default=None)
@@ -154,9 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str]) -> RunConfig:
-    """Merge config file and flags (flags win) into a validated RunConfig."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    """Merge config file and flags (flags win) into a validated RunConfig.
+
+    A null value in the config file counts as absent.
+    """
+    ns = _build_parser().parse_args(argv)
     if ns.experiment is None:
         raise UsageError("missing experiment subcommand")
     if ns.experiment == "replay":
@@ -171,6 +170,8 @@ def parse_config(argv: list[str]) -> RunConfig:
             raise UsageError(f"config: cannot read {ns.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config: invalid JSON in {ns.config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config: {ns.config} must hold a JSON object")
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             raise UsageError(f"config: unknown keys {sorted(unknown)}")
@@ -179,45 +180,16 @@ def parse_config(argv: list[str]) -> RunConfig:
                 f"config: experiment {loaded['experiment']!r} does not match "
                 f"subcommand {ns.experiment!r}"
             )
-        values.update(loaded)
-    for key in (
-        "alpha",
-        "t",
-        "replicates",
-        "seed",
-        "grid",
-        "out",
-        "mu0",
-        "f",
-        "set_a",
-        "order",
-        "max_steps",
-        "dt_factor",
-        "suite",
-        "num_steps",
-    ):
+        values.update((k, v) for k, v in loaded.items() if v is not None)
+    for key in _SETTINGS:
         flag = getattr(ns, key)
         if flag is not None:
             values[key] = flag
 
-    if "alpha" not in values or values["alpha"] is None:
+    if "alpha" not in values:
         raise UsageError("alpha: required, no default")
     cfg = RunConfig(
-        experiment=ns.experiment,
-        alpha=float(values["alpha"]),
-        t=float(values.get("t", DEFAULTS["t"])),
-        replicates=int(values.get("replicates", DEFAULTS["replicates"])),
-        seed=int(values.get("seed", DEFAULTS["seed"])),
-        grid=int(values.get("grid", DEFAULTS["grid"])),
-        out=str(values.get("out", f"dklab-{ns.experiment}.csv")),
-        mu0=str(values.get("mu0", DEFAULTS["mu0"])),
-        f=str(values.get("f", DEFAULTS["f"])),
-        set_a=str(values.get("set_a", DEFAULTS["set_a"])),
-        order=int(values.get("order", DEFAULTS["order"])),
-        max_steps=int(values.get("max_steps", DEFAULTS["max_steps"])),
-        dt_factor=float(values.get("dt_factor", DEFAULTS["dt_factor"])),
-        suite=int(values.get("suite", DEFAULTS["suite"])),
-        num_steps=int(values.get("num_steps", DEFAULTS["num_steps"])),
+        ns.experiment, **{k: _typed(k, values[k]) for k in _SETTINGS if k in values}
     )
     _validate(cfg)
     return cfg
@@ -411,19 +383,12 @@ def _manifest_text(cfg: RunConfig, verdicts, seeds, digest, wall, threads) -> st
         "manifest_version = 1",
         f"code_version = {__version__}",
         f"experiment = {cfg.experiment}",
-        f"alpha = {cfg.alpha!r}",
-        f"t = {cfg.t!r}",
-        f"replicates = {cfg.replicates}",
-        f"seed = {cfg.seed}",
-        f"grid = {cfg.grid}",
-        f"mu0 = {cfg.mu0}",
-        f"f = {cfg.f}",
-        f"set_a = {cfg.set_a}",
-        f"order = {cfg.order}",
-        f"max_steps = {cfg.max_steps}",
-        f"dt_factor = {cfg.dt_factor!r}",
-        f"suite = {cfg.suite}",
-        f"num_steps = {cfg.num_steps}",
+    ]
+    for key in _SETTINGS:
+        if key != "out":
+            v = getattr(cfg, key)
+            lines.append(f"{key} = {v!r}" if _TYPES[key] is float else f"{key} = {v}")
+    lines += [
         f"results_file = {cfg.out}",
         f"results_sha256 = {digest}",
         f"stream_seeds = {','.join(str(s) for s in seeds)}",
@@ -448,21 +413,9 @@ def parse_manifest(path: str) -> dict:
 
 def config_from_manifest(m: dict, out_path: str) -> RunConfig:
     cfg = RunConfig(
-        experiment=m["experiment"],
-        alpha=float(m["alpha"]),
-        t=float(m["t"]),
-        replicates=int(m["replicates"]),
-        seed=int(m["seed"]),
-        grid=int(m["grid"]),
+        m["experiment"],
         out=out_path,
-        mu0=m["mu0"],
-        f=m["f"],
-        set_a=m["set_a"],
-        order=int(m["order"]),
-        max_steps=int(m["max_steps"]),
-        dt_factor=float(m["dt_factor"]),
-        suite=int(m["suite"]),
-        num_steps=int(m["num_steps"]),
+        **{k: _TYPES[k](m[k]) for k in _SETTINGS if k != "out"},
     )
     _validate(cfg)
     return cfg

@@ -185,6 +185,14 @@ class FourierFunction:
             + np.einsum("...k,k->...", head.imag, self.sin_coeffs)
         )
 
+    def _half_spectrum(self, n: int) -> np.ndarray:
+        """rfft of the n uniform samples of f, for max_mode < n/2."""
+        spec = np.zeros(n // 2 + 1, dtype=complex)
+        spec[0] = n * self.mean
+        k = self.max_mode
+        spec[1 : k + 1] = 0.5 * n * (self.cos_coeffs - 1j * self.sin_coeffs)
+        return spec
+
     def sample(self, dom: TorusDomain, oversample: int = 1) -> np.ndarray:
         """Exact samples on the domain grid via inverse FFT.
 
@@ -193,18 +201,18 @@ class FourierFunction:
         n = dom.grid_size * oversample
         if self.max_mode >= n // 2:
             raise ValueError("grid too coarse to hold this function exactly")
-        spec = np.zeros(n // 2 + 1, dtype=complex)
-        spec[0] = n * self.mean
-        k = self.max_mode
-        spec[1 : k + 1] = 0.5 * n * (self.cos_coeffs - 1j * self.sin_coeffs)
-        return np.fft.irfft(spec, n=n)
+        return np.fft.irfft(self._half_spectrum(n), n=n)
 
     def extrema(self, n_points: int = 4096) -> tuple[float, float]:
-        """(min, max) over a refined grid; n_points is raised if the
-        function has modes too high for the default sampling."""
+        """(min, max) over n uniform points, sampled by one inverse FFT.
+
+        n = max(n_points, 8 * (max_mode + 1)): n_points is raised if the
+        function has modes too high for the default sampling.  Every mode
+        is then below n/8, so the inverse FFT gives the function's values
+        at the points, to round-off, with no aliasing, for odd n as well.
+        """
         n = max(n_points, 8 * (self.max_mode + 1))
-        x = np.arange(n) / n
-        v = self.evaluate(x)
+        v = np.fft.irfft(self._half_spectrum(n), n=n)
         return float(v.min()), float(v.max())
 
     # -- calculus (exact on coefficients) --------------------------------------

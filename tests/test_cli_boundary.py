@@ -1,0 +1,299 @@
+"""The CLI boundary: one parser per process, fuzzed argv and config files,
+and manifests that echo their config exactly."""
+
+import contextlib
+import dataclasses
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+from unittest import mock
+
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+import dklab
+from dklab import cli
+from dklab.cli import EXPERIMENTS, RunConfig, main, parse_manifest
+
+
+@contextlib.contextmanager
+def _in_tmp_dir():
+    """Run in a fresh temporary directory, so default and fuzzed outputs land there."""
+    old = os.getcwd()
+    with tempfile.TemporaryDirectory() as d:
+        os.chdir(d)
+        try:
+            yield d
+        finally:
+            os.chdir(old)
+
+
+class TestParserBuiltOnce:
+    def test_flags_spelled_from_run_config(self):
+        sub = next(a for a in cli._build_parser()._actions if a.dest == "experiment")
+        for name in EXPERIMENTS:
+            flags = [a.option_strings[0] for a in sub.choices[name]._actions[1:]]
+            assert flags == [
+                "--config", "--alpha", "--t", "--replicates", "--seed", "--grid", "--out",
+                "--mu0", "--f", "--set-a", "--order", "--max-steps", "--dt-factor",
+                "--suite", "--num-steps",
+            ]
+        assert [f.name for f in dataclasses.fields(RunConfig)] == ["experiment"] + [
+            f[2:].replace("-", "_") for f in flags[1:]
+        ]
+
+    def test_cached_parser_is_stateless_and_shared(self):
+        cli._build_parser.cache_clear()
+        with _in_tmp_dir():
+            base = ["duality", "--alpha", "1", "--t", "0.02", "--replicates", "200"]
+            assert main(base + ["--seed", "5", "--grid", "64", "--out", "a.csv"]) == 0
+            assert main(base + ["--out", "b.csv"]) == 0
+            first, second = parse_manifest("a.csv.manifest"), parse_manifest("b.csv.manifest")
+            assert (first["seed"], first["grid"]) == ("5", "64")
+            assert (second["seed"], second["grid"]) == (str(RunConfig.seed), str(RunConfig.grid))
+            assert main(["replay", "--manifest", "a.csv.manifest", "--out", "r.csv"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+# --------------------------------------------------------------------------
+# fuzzed argv and config files
+# --------------------------------------------------------------------------
+
+GARBAGE = ["", " ", "abc", "1:2", "0.2:0.45;0.5:0.9", "a:b", "0,0.5", "0x10", "1_000", "--", "é"]
+VALUES = st.one_of(st.sampled_from(GARBAGE), st.text(max_size=8))
+FLOATS = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "0", "-0",
+                     "1e-320", "1e308", "-1", "0.5", "1", "2", "3.5"]),
+    st.floats().map(repr),
+)
+INTS = st.one_of(
+    st.sampled_from(["0", "-1", "-3", "1", "8", "16", "64", "100", "1e3", "2.5",
+                     str(2**63), str(2**64), str(-(2**63)), str(10**30)]),
+    st.integers(-(2**70), 2**70).map(str),
+)
+# output paths stay inside the example's temporary directory
+OUTS = ["r.csv", "", ".", "missing-dir/r.csv", "nul\x00.csv"]
+FLAG_VALUES = {
+    "--" + name.replace("_", "-"): {float: FLOATS, int: INTS, str: VALUES}[cli._TYPES[name]]
+    for name in cli._SETTINGS
+}
+FLAG_VALUES["--out"] = st.sampled_from(OUTS)
+FLAGS = st.sampled_from(sorted(FLAG_VALUES)).flatmap(
+    lambda flag: st.one_of(FLAG_VALUES[flag], FLAG_VALUES[flag], VALUES).map(lambda v: [flag, v])
+)
+# a request small enough to run when valid: replicates, grid and steps
+CHEAP = ["--replicates", "150", "--grid", "16", "--num-steps", "8", "--max-steps", "40",
+         "--suite", "2", "--out", "r.csv"]
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+CONFIGS = st.one_of(
+    st.dictionaries(
+        st.sampled_from(sorted(cli._CONFIG_KEYS - {"out"}) + ["bogus", ""]), JSON_VALUES, max_size=5
+    ).map(json.dumps),
+    st.sampled_from(["{", "[1, 2]", "5", "null", '"alpha"', "{}", '{"alpha": 2, "t": NaN}']),
+)
+
+
+def _cheap(cfg: RunConfig) -> bool:
+    return (cfg.replicates <= 300 and cfg.grid <= 64 and cfg.alpha <= 4
+            and cfg.num_steps <= 20 and cfg.max_steps <= 100 and cfg.suite <= 3
+            and len(cfg.mu0) <= 40 and len(cfg.set_a) <= 40)
+
+
+class _TooLarge(Exception):
+    """A valid request too large to run in a test."""
+
+
+def _main_outcome(argv):
+    """(exit code, stdout, stderr, warnings, whether an experiment ran) of main(argv).
+
+    A request that passes validation runs only if it is small (_cheap);
+    for a large one the exit code is None.
+    """
+    ran = []
+    real_run = cli.run
+
+    def bounded_run(cfg):
+        ran.append(cfg)
+        if not _cheap(cfg):
+            raise _TooLarge
+        return real_run(cfg)
+
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, mock.patch.object(cli, "run", bounded_run), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 on a usage error, 0 for --help
+            code = exc.code
+        except _TooLarge:
+            code = None
+    return code, out.getvalue(), err.getvalue(), caught, bool(ran)
+
+
+def _check_outcome(code, out, err, caught, ran):
+    event(f"exit {code}, {'ran' if ran else 'refused'}")
+    assert "Traceback" not in err
+    if code is None:  # valid, but too large to run here
+        return
+    assert code in (0, 1, 2, 3), (code, err)
+    if code == 1:
+        assert err.startswith("dklab: "), err
+    if code == 1 and not ran:
+        # refused before any experiment ran: one message and no warning
+        assert not caught, [str(w.message) for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sub=st.sampled_from(EXPERIMENTS * 4 + ("replay", "bogus")),
+    cheap=st.sampled_from([True, True, True, False]),
+    alpha=st.one_of(st.sampled_from(["1", "2", "3", "1.5", "0.5", "2.5", None]), FLOATS),
+    flags=st.lists(FLAGS, max_size=3),
+    tail=st.sampled_from([[]] * 12 + [["--bogus", "1"], ["--help"], ["stray"]]),
+    config=st.one_of(st.none(), st.none(), CONFIGS),
+)
+@example(sub="pgf", cheap=False, alpha="inf", flags=[], tail=[], config=None)
+@example(sub="pgf", cheap=True, alpha="1e400", flags=[], tail=[], config=None)
+@example(sub="duality", cheap=True, alpha="2", flags=[], tail=[], config='{"alpha": 2, "t": null}')
+@example(sub="duality", cheap=True, alpha="2", flags=[], tail=[], config='{"alpha": 2, "t": [1]}')
+@example(sub="duality", cheap=True, alpha=None, flags=[], tail=[], config="5")
+@example(sub="martingale", cheap=True, alpha="1", flags=[["--t", "inf"]], tail=[], config=None)
+def test_any_argv_exits_with_a_documented_code(sub, cheap, alpha, flags, tail, config):
+    argv = [sub] + (CHEAP if cheap else [])
+    if alpha is not None:
+        argv += ["--alpha", alpha]
+    argv += [word for pair in flags for word in pair] + tail
+    with _in_tmp_dir():
+        if config is not None:
+            with open("c.json", "w") as fh:
+                fh.write(config)
+            argv += ["--config", "c.json"]
+        _check_outcome(*_main_outcome(argv))
+
+
+MANIFEST_KEYS = [k for k in cli._SETTINGS if k != "out"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    edits=st.dictionaries(st.sampled_from(MANIFEST_KEYS + ["experiment"]),
+                          st.one_of(FLOATS, INTS, VALUES, st.none()).filter(
+                              lambda v: v is None or ("\n" not in v and "\r" not in v)),
+                          max_size=3),
+)
+@example(experiment="pgf", edits={"alpha": "inf"})
+@example(experiment="pgf", edits={"grid": None})
+def test_any_manifest_replays_with_a_documented_code(experiment, edits):
+    cfg = RunConfig(experiment, 1.0 if experiment != "pgf" else 1.5, replicates=150,
+                    grid=16, num_steps=8, max_steps=40, suite=2, out="r.csv")
+    lines = cli._manifest_text(cfg, [], [], "0" * 64, 0.0, 1).splitlines()
+    kept = []
+    for line in lines:
+        key = line.split(" = ")[0]
+        if key not in edits:
+            kept.append(line)
+        elif edits[key] is not None:  # None drops the key
+            kept.append(f"{key} = {edits[key]}")
+    with _in_tmp_dir():
+        with open("m.manifest", "w") as fh:
+            fh.write("\n".join(kept) + "\n")
+        outcome = _main_outcome(["replay", "--manifest", "m.manifest"])
+    _check_outcome(*outcome)
+
+
+# --------------------------------------------------------------------------
+# manifests echo their config exactly
+# --------------------------------------------------------------------------
+
+# manifest values come back with surrounding whitespace stripped
+SAFE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12).map(str.strip)
+
+
+@st.composite
+def run_configs(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    if experiment in ("duality", "martingale"):
+        alpha = float(draw(st.integers(1, 2**53)))
+    else:
+        alpha = draw(st.floats(min_value=5e-324, allow_infinity=False))
+    t_min = 5e-324 if experiment == "pgf" else 0.0
+    return RunConfig(
+        experiment,
+        alpha,
+        t=draw(st.floats(min_value=t_min, allow_nan=False)),
+        replicates=draw(st.integers(1, 2**80)),
+        seed=draw(st.integers(-(2**80), 2**80)),
+        grid=2 ** draw(st.integers(3, 70)),
+        out=draw(SAFE_TEXT.filter(bool)),
+        mu0=draw(SAFE_TEXT),
+        f=draw(SAFE_TEXT),
+        set_a=draw(SAFE_TEXT),
+        order=draw(st.integers(1, 64)),
+        max_steps=draw(st.integers(-(2**70), 2**70)),
+        dt_factor=draw(st.floats(min_value=5e-324, max_value=1.0)),
+        suite=draw(st.integers(1, 2**70)),
+        num_steps=draw(st.integers(-(2**70), 2**70)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+def test_manifest_round_trips_every_field(cfg):
+    with _in_tmp_dir():
+        with open("m.manifest", "w") as fh:
+            fh.write(cli._manifest_text(cfg, ["pass"], [1, 2], "ab" * 32, 1.25, 2))
+        back = cli.config_from_manifest(parse_manifest("m.manifest"), cfg.out)
+    for f in dataclasses.fields(RunConfig):
+        mine, theirs = getattr(cfg, f.name), getattr(back, f.name)
+        assert type(mine) is type(theirs), f.name
+        assert mine == theirs or (math.isnan(mine) and math.isnan(theirs)), f.name
+
+
+def test_manifest_text_pinned(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["pgf", "--alpha", "1.5", "--t", "0.05", "--order", "8", "--out", "p.csv"]) == 0
+    lines = (tmp_path / "p.csv.manifest").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines[-2:]] == ["wall_seconds", "threads_observed"]
+    assert lines[:-2] == [
+        "manifest_version = 1",
+        f"code_version = {dklab.__version__}",
+        "experiment = pgf",
+        "alpha = 1.5",
+        "t = 0.05",
+        "replicates = 20000",
+        "seed = 20260809",
+        "grid = 256",
+        "mu0 = equally-spaced",
+        "f = default",
+        "set_a = 0.2:0.45",
+        "order = 8",
+        "max_steps = 10000",
+        "dt_factor = 0.5",
+        "suite = 50",
+        "num_steps = 200",
+        "results_file = p.csv",
+        "results_sha256 = 41d3c5f412a8c7c24c31a1a7e7448214e789cec71fc707fff15fef77b8ca0e0c",
+        "stream_seeds = ",
+        "verdicts = violates-nonnegativity",
+    ]
+
+
+@pytest.mark.parametrize("config", ['{"alpha": 2, "t": [1]}', '{"alpha": 2, "seed": {"a": 1}}'])
+def test_ill_typed_config_value_is_a_usage_error(config, tmp_path, capsys):
+    conf = tmp_path / "c.json"
+    conf.write_text(config)
+    assert main(["duality", "--config", str(conf), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dklab: ") and "cannot read" in err

@@ -202,6 +202,48 @@ class TestFourierMoments:
             FourierFunction.from_modes(cos={3: 1.0}).pair_moments(m[..., :3])
 
 
+def extrema_by_evaluate(f, n_points=4096):
+    """FourierFunction.extrema as it was before it sampled by inverse FFT."""
+    n = max(n_points, 8 * (f.max_mode + 1))
+    x = np.arange(n) / n
+    v = f.evaluate(x)
+    return float(v.min()), float(v.max())
+
+
+class TestExtremaMatchEvaluate:
+    """Extrema from one inverse FFT against pointwise evaluation on the same points."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_mode=st.integers(0, 40),
+        gamma=st.booleans(),
+        n_points=st.one_of(
+            st.integers(0, 14).map(lambda e: 2**e),
+            st.integers(0, 3000).map(lambda k: 2 * k + 1),
+            st.integers(-3, 9000),
+        ),
+    )
+    @example(seed=1, max_mode=0, gamma=False, n_points=4096)  # a constant
+    @example(seed=2, max_mode=0, gamma=True, n_points=1)  # the zero function
+    @example(seed=3, max_mode=40, gamma=True, n_points=7)  # n raised to 8 * 81
+    @example(seed=4, max_mode=40, gamma=False, n_points=329)  # odd, just above 8 * 41
+    @example(seed=5, max_mode=3, gamma=False, n_points=31)  # odd, below 8 * 4
+    def test_extrema_match(self, seed, max_mode, gamma, n_points):
+        f = random_fourier_suite(seed, 1, max_mode=max_mode)[0]
+        if gamma:
+            f = carre_du_champ(f)
+        tol = 1e-13 * (
+            1.0 + abs(f.mean) + np.abs(f.cos_coeffs).sum() + np.abs(f.sin_coeffs).sum()
+        )
+        got, want = f.extrema(n_points), extrema_by_evaluate(f, n_points)
+        assert all(type(v) is float for v in got)
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol
+
+    def test_constant_default_points(self):
+        assert FourierFunction.constant(2.5).extrema() == (2.5, 2.5)
+
+
 class TestGenerator:
     def test_constant_maps_to_zero(self):
         out = generator_L(FourierFunction.constant(5.0))
