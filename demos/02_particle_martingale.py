@@ -16,7 +16,6 @@ from dklab import (
     martingale_ensemble,
     martingale_functional,
     qv_statistic,
-    replicate_stream,
     simulate_path,
 )
 
@@ -26,7 +25,7 @@ phi = FourierFunction.from_modes(cos={1: 0.8}, sin={2: 0.4})
 mu0 = equally_spaced_atoms(n)
 
 print(f"One path: n = {n} particles, t = {t}, 200 steps")
-path = simulate_path(mu0, n, t, 200, replicate_stream(seed=7, replicate=0))
+path = simulate_path(mu0, n, t, 200, seed=7)
 ms = martingale_functional(path, phi)
 print(f"  M_0 = {ms.m_values[0]}, M_t = {ms.m_values[-1]:+.5f}")
 print(f"  quadratic-variation integral at t: {ms.qv_integral[-1]:.5f} (nondecreasing)")

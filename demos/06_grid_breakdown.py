@@ -11,11 +11,11 @@ statistics below describe this artifact; they are not convergence claims.
 import numpy as np
 
 from dklab import (
+    RngStream,
     TorusDomain,
     first_negativity,
     make_field,
     negativity_ensemble,
-    replicate_stream,
     stability_limit,
     step,
 )
@@ -27,14 +27,14 @@ print(f"grid {dom.grid_size}, alpha = {alpha}, dt = {dt:.2e} (half the stability
 
 print("\nMass is conserved exactly even while cells go negative:")
 fld = make_field(dom, 1.0, dt, alpha)
-stream = replicate_stream(seed=3, replicate=0)
+stream = RngStream(3, 0)
 for k in range(5):
     fld = step(fld, alpha, stream)
     print(f"  step {k + 1}: mass = {fld.mass():.15f}, min cell = {fld.cell_values.min():+.3f}")
 
 print("\nZero-noise mode is just the heat equation (no negativity, ever):")
 res = first_negativity(make_field(dom, 1.0, dt, alpha), alpha, 5000,
-                       replicate_stream(3, 1), noise_scale=0.0)
+                       RngStream(3, 1), noise_scale=0.0)
 print(f"  first negativity: {res}")
 
 print("\nTime-to-negativity vs noise amplitude (30 members each):")

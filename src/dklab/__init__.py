@@ -29,7 +29,6 @@ from .particles import (
     martingale_functional,
     pair_against,
     qv_statistic,
-    sample_terminal,
     simulate_path,
     terminal_ensemble,
 )
@@ -49,7 +48,7 @@ from .pgf import (
     series_from_bernoulli,
     verdict_from_expansion,
 )
-from .rng import RngStream, derive_seed, gaussian_increment, replicate_stream
+from .rng import RngStream, derive_seed, normals
 from .spde import (
     BreakdownReport,
     DensityField,

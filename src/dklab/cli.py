@@ -4,7 +4,8 @@ Subcommands: duality, martingale, pgf, breakdown, vhj-check, replay.
 Each run writes a comma-separated results table (one fixed column schema
 per experiment, documented in docs/results_schema.md) and a structured-text
 manifest sufficient to reproduce the table byte for byte.  Exit codes:
-0 pass, 1 usage/config error, 2 statistical failure, 3 I/O failure.
+0 pass, 1 usage/config error (or a request too large for memory),
+2 statistical failure, 3 I/O failure.
 
 The config schema is written once, as the fields of RunConfig: the
 flags, the config-file keys, their defaults and the manifest's config
@@ -218,8 +219,9 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError(f"dt_factor: must be in (0, 1], got {cfg.dt_factor}")
     if cfg.order < 1 or cfg.order > 64:
         raise UsageError(f"order: must be in 1..64, got {cfg.order}")
-    if cfg.suite < 1:
-        raise UsageError(f"suite: must be positive, got {cfg.suite}")
+    for name in ("suite", "num_steps", "max_steps"):
+        if getattr(cfg, name) < 1:
+            raise UsageError(f"{name}: must be positive, got {getattr(cfg, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +499,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"dklab: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"dklab: out of memory: {str(exc) or 'request too large'}", file=sys.stderr)
         return 1
 
 

@@ -34,14 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .parallel import run_chunked
-from .rng import (
-    REPLICATE_STRIDE,
-    RngStream,
-    StreamBank,
-    gaussian_increment,
-    replicate_stream_ids,
-    standard_normals,
-)
+from .rng import _fill_normals, normals, replicate_stream_ids
 from .torus import FourierFunction, carre_du_champ, fourier_moments, generator_L, wrap
 
 # bytes of one chunk array (replicates x particles x grid times, float64)
@@ -119,18 +112,51 @@ class MartingaleSample:
     qv_integral: np.ndarray
 
 
+def _check_grid(mu0: EmpiricalMeasure, alpha, t_final: float, num_steps: int) -> int:
+    """The particle count of a path request; refuses an empty or reversed time grid."""
+    n = require_integer_alpha(alpha, mu0.n)
+    if t_final < 0:
+        raise ValueError(f"t_final must be nonnegative, got {t_final}")
+    if num_steps < 1:
+        raise ValueError(f"num_steps must be a positive integer, got {num_steps}")
+    return n
+
+
+def _paths(
+    mu0: EmpiricalMeasure, sigma: float, num_steps: int, seed: int, lo: int, hi: int
+) -> np.ndarray:
+    """Unwrapped positions of replicates lo..hi-1, shape (hi - lo, n, num_steps + 1).
+
+    x[r, i, k] is particle i of replicate lo + r after k steps: its initial
+    atom plus sigma times the sum of the first k normals of stream
+    (seed, (lo + r) * 2**32 + i), the draws that normals(seed, ids,
+    num_steps) returns for these ids.  simulate_path and
+    martingale_ensemble both draw through here.
+    """
+    ids = replicate_stream_ids(hi - lo, mu0.n, lo)
+    x = np.empty(ids.shape + (num_steps + 1,))
+    x[..., 0] = 0.0
+    # the draws go straight into x: a separate array of them would be
+    # allocated and page-faulted afresh for every chunk
+    _fill_normals(seed, ids.ravel(), x.reshape(-1, num_steps + 1)[:, 1:])
+    np.cumsum(x, axis=-1, out=x)
+    x *= sigma
+    x += mu0.positions[:, None]
+    return x
+
+
 def simulate_path(
     mu0: EmpiricalMeasure,
     alpha: int,
     t_final: float,
     num_steps: int,
-    stream: RngStream,
+    seed: int,
+    replicate: int = 0,
 ) -> ParticlePath:
     """Sample one path of the empirical-measure process.
 
-    Particle i draws its increments from stream.child(i), so with
-    stream = replicate_stream(seed, r) the layout is the documented
-    stream_id = r * 2**32 + i.
+    Particle i draws its increments from stream (seed, replicate * 2**32 + i),
+    so the path is replicate `replicate` of martingale_ensemble(..., seed).
 
     Parameters
     ----------
@@ -143,43 +169,15 @@ def simulate_path(
         External end time (internal clock runs to alpha * t_final).
     num_steps : int
         Uniform steps of the storage grid.
-    stream : RngStream
-        Base stream of this replicate.
+    seed, replicate : int
+        Stream seed and replicate index of the path.
     """
-    n = require_integer_alpha(alpha, mu0.n)
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
-    if num_steps < 1:
-        raise ValueError("num_steps must be positive")
-    times = np.linspace(0.0, t_final, num_steps + 1)
-    dt_internal = n * (t_final / num_steps)
-    incr = np.empty((num_steps, n))
-    for i in range(n):
-        incr[:, i] = gaussian_increment(stream.child(i), num_steps, dt_internal)
-    pos = np.empty((num_steps + 1, n))
-    pos[0] = mu0.positions
-    pos[1:] = wrap(mu0.positions[None, :] + np.cumsum(incr, axis=0))
-    return ParticlePath(times=times, positions=pos, alpha=n)
-
-
-def sample_terminal(
-    mu0: EmpiricalMeasure, alpha: int, t: float, stream: RngStream
-) -> EmpiricalMeasure:
-    """Exact-in-law sample of mu_t without storing a path.
-
-    Particle i sits at x_i + N(0, alpha * t) wrapped; one draw per
-    particle from stream.child(i).
-    """
-    n = require_integer_alpha(alpha, mu0.n)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return mu0
-    sigma = np.sqrt(n * t)
-    incr = np.array(
-        [gaussian_increment(stream.child(i), 1, 1.0)[0] for i in range(n)]
+    n = _check_grid(mu0, alpha, t_final, num_steps)
+    sigma = np.sqrt(n * (t_final / num_steps))
+    x = _paths(mu0, sigma, num_steps, seed, replicate, replicate + 1)
+    return ParticlePath(
+        times=np.linspace(0.0, t_final, num_steps + 1), positions=wrap(x[0].T), alpha=n
     )
-    return EmpiricalMeasure(wrap(mu0.positions + sigma * incr))
 
 
 def martingale_functional(path: ParticlePath, phi: FourierFunction) -> MartingaleSample:
@@ -276,12 +274,14 @@ def qv_statistic(samples, t_index: int = -1) -> QvReport:
     )
 
 
-# -- vectorized ensemble drivers ---------------------------------------------
+# -- ensemble drivers ----------------------------------------------------------
 #
-# The drivers below reproduce, bit for bit, what per-replicate
-# simulate_path / sample_terminal calls would draw (same stream keys, same
-# draw order); the one-draw streams are computed as arrays and the
-# post-processing is batched.
+# Replicate r of an ensemble is the path simulate_path(..., seed,
+# replicate=r).  martingale_ensemble draws through _paths, as simulate_path
+# does, and pairs the unwrapped positions with its own time weights, so its
+# values agree with martingale_functional on that path to round-off.
+# terminal_ensemble takes the one-step path's single draw per stream from
+# standard_increments, the vectorised count == 1 case of normals.
 
 
 def standard_increments(
@@ -290,27 +290,22 @@ def standard_increments(
     """One standard normal per (replicate, particle), shape (replicates, n).
 
     Replicate r (global index first_replicate + r) particle i takes the
-    first draw of stream (seed, (first_replicate + r) * 2**32 + i).  The
-    draws are computed as one array by standard_normals, not in the thread
-    pool; threads is accepted for call compatibility and has no effect.
+    first draw of stream (seed, (first_replicate + r) * 2**32 + i).  threads
+    is accepted for call compatibility and has no effect.
     """
-    return standard_normals(seed, replicate_stream_ids(replicates, n, first_replicate))
+    return normals(seed, replicate_stream_ids(replicates, n, first_replicate), 1)[..., 0]
 
 
 def terminal_ensemble(
-    mu0: EmpiricalMeasure,
-    alpha: int,
-    t: float,
-    replicates: int,
-    seed: int,
-    first_replicate: int = 0,
+    mu0: EmpiricalMeasure, alpha: int, t: float, replicates: int, seed: int
 ) -> np.ndarray:
-    """Positions of mu_t for a block of replicates, shape (replicates, n)."""
-    n = require_integer_alpha(alpha, mu0.n)
-    xi = standard_increments(n, replicates, seed, first_replicate)
-    if t == 0.0:
-        return np.tile(mu0.positions, (replicates, 1))
-    return wrap(mu0.positions[None, :] + np.sqrt(n * t) * xi)
+    """Positions of mu_t for replicates 0..replicates-1, shape (replicates, n).
+
+    Replicate r is the one-step path simulate_path(mu0, alpha, t, 1, seed, r)
+    at time t, drawn one normal per stream at once.
+    """
+    n = _check_grid(mu0, alpha, t, 1)
+    return wrap(mu0.positions + np.sqrt(n * t) * standard_increments(n, replicates, seed))
 
 
 def martingale_ensemble(
@@ -325,14 +320,14 @@ def martingale_ensemble(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Final-time (M_t(phi), qv_t) over an ensemble of paths.
 
-    Returns (m_final, qv_final, t_final) ready for qv_statistic.  The
-    per-replicate stream draws are identical to simulate_path.  Each chunk
+    Returns (m_final, qv_final, t_final) ready for qv_statistic.  Replicate
+    r is the path simulate_path(..., seed, replicate=r).  Each chunk
     of paths is reduced to the Fourier moments of its final states and the
     trapezoid time integral of its moments, and the three pairings are
     taken from those; a chunk holds at most _CHUNK_BYTES bytes of
     positions, whatever the replicate count.
     """
-    n = require_integer_alpha(alpha, mu0.n)
+    n = _check_grid(mu0, alpha, t_final, num_steps)
     times = np.linspace(0.0, t_final, num_steps + 1)
     sigma = np.sqrt(n * (t_final / num_steps))
     lphi = generator_L(phi)
@@ -345,17 +340,7 @@ def martingale_ensemble(
     qv_final = np.empty(replicates)
 
     def fill(lo, hi):
-        bank = StreamBank(seed)
-        # x[r, i] is particle i of replicate lo + r along the grid; column 0
-        # is zero so that the cumulative sum starts from the initial atom
-        x = np.zeros((hi - lo, n, num_steps + 1))
-        for r in range(lo, hi):
-            base = r * REPLICATE_STRIDE
-            for i in range(n):
-                x[r - lo, i, 1:] = bank.normals(base + i, num_steps)
-        np.cumsum(x, axis=-1, out=x)
-        x *= sigma
-        x += mu0.positions[None, :, None]
+        x = _paths(mu0, sigma, num_steps, seed, lo, hi)
         final = fourier_moments(x[:, :, -1], order)
         integral = fourier_moments(x.reshape(hi - lo, -1), order, weights)
         m_final[lo:hi] = (

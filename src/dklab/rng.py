@@ -1,25 +1,31 @@
-"""Splittable, counter-based random streams.
+"""Counter-based random streams, keyed by (seed, stream_id).
 
-Every stochastic module draws from an RngStream keyed by (seed, stream_id).
-Streams with distinct keys are statistically independent Philox-4x64
-sequences, and the output of a stream depends only on its key and the
-order of draws on it, never on scheduling.  The convention used by the
-simulation drivers is
+A stream is numpy's Philox4x64-10 under the 128-bit key (seed, stream_id).
+Streams with distinct keys are statistically independent, and a stream's
+output depends only on its key and the order of draws on it, never on
+scheduling.  The convention used by the simulation drivers is
 
     stream_id = replicate_index * 2**32 + particle_index
 
-so any replicate/particle pair can be re-derived in isolation.
+(replicate_stream_ids), so any replicate/particle pair can be re-derived
+in isolation.  There are two ways to draw:
 
-Drivers that take a single normal from each of many streams use
-standard_normals, which computes those first draws for a whole array of
-keys at once.  Philox is a pure function of (key, counter), so the first
+- RngStream(seed, stream_id).generator is the live stream, a numpy
+  Generator, for callers that draw step by step and may stop early.
+- normals(seed, stream_ids, count) is the first count standard normals of
+  every stream of an array of keys, bit for bit what count
+  standard_normal() draws on each live stream would give.
+
+For count > 1, normals resets one Philox bit generator to each key in
+turn and lets numpy draw (_streams, _fill_normals); the path sampler in
+particles fills its position array through the same loop, so its draws
+need no array of their own.  For count == 1 it computes the draws for all
+keys at once: Philox is a pure function of (key, counter), so the first
 64-bit word of a stream is one Philox4x64-10 evaluation at counter
 (1, 0, 0, 0), done here on uint64 arrays; numpy's ziggurat then turns
 that word into a normal on its fast path, with the tables frozen below.
 The keys whose word misses the fast path (about 1.5%) need further words
-and are drawn one by one through StreamBank.  Either way the value is bit
-for bit StreamBank(seed).first_normal(id), which is the first
-standard_normal() of RngStream(seed, id) for every 64-bit seed and id.
+and are drawn through the same reset bit generator (_streams).
 
 The Philox kernel works in place: every ufunc writes into one of nine
 preallocated uint64 buffers, reused block after block, and the keys go
@@ -75,15 +81,6 @@ class RngStream:
             self._gen = np.random.Generator(bg)
         return self._gen
 
-    def child(self, offset: int) -> "RngStream":
-        """Derived stream (seed, stream_id + offset); used for per-particle streams."""
-        return RngStream(self.seed, self.stream_id + offset)
-
-
-def replicate_stream(seed: int, replicate: int) -> RngStream:
-    """Base stream of a replicate; particle i then uses .child(i)."""
-    return RngStream(seed, replicate * REPLICATE_STRIDE)
-
 
 def replicate_stream_ids(replicates: int, n: int, first_replicate: int = 0) -> np.ndarray:
     """Stream ids (first_replicate + r) * 2**32 + i mod 2**64, shape (replicates, n)."""
@@ -91,57 +88,38 @@ def replicate_stream_ids(replicates: int, n: int, first_replicate: int = 0) -> n
     return (reps << np.uint64(_PARTICLE_BITS))[:, None] + np.arange(n, dtype=np.uint64)
 
 
-def gaussian_increment(stream: RngStream, count: int, variance: float) -> np.ndarray:
-    """count independent centered normals with the given variance.
+def _streams(seed: int, ids: np.ndarray):
+    """Each stream (seed, id) of the uint64 keys ids in turn, as a Generator at its start.
 
-    Deterministic given (seed, stream_id, call index).  variance = 0 is
-    accepted as the degenerate no-motion case and returns zeros without
-    consuming the stream.
+    One Philox bit generator is reset to each key, which is bit-identical
+    to a fresh RngStream per key and about an order of magnitude cheaper.
+    The same Generator object is yielded every time: it is valid until the
+    next key.
     """
-    if count < 1:
-        raise ValueError("count must be a positive integer")
-    if variance < 0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
-    if variance == 0.0:
-        return np.zeros(count)
-    return stream.generator.standard_normal(count) * np.sqrt(variance)
+    bg = np.random.Philox(0)
+    gen = np.random.Generator(bg)
+    # the reset state in plain ints and lists: numpy's state setter reads
+    # them about 2.5x faster than uint64 arrays, same draws
+    key = [int(seed) & _MASK64, 0]
+    state = {
+        **_philox_state(seed, 0),
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+    }
+    for stream_id in ids.tolist():
+        key[1] = stream_id
+        bg.state = state
+        yield gen
 
 
-class StreamBank:
-    """Fast sequential access to many (seed, stream_id) streams.
+def _fill_normals(seed: int, ids: np.ndarray, out: np.ndarray) -> None:
+    """Write the first out.shape[1] normals of stream (seed, ids[j]) into out[j].
 
-    Reuses a single Philox bit generator and resets its state per stream,
-    which is bit-identical to constructing a fresh RngStream each time but
-    roughly an order of magnitude faster.  Intended for replicate loops;
-    not thread-safe, give each worker its own bank.
+    out is float64 of shape (ids.size, count) with contiguous rows, such as
+    a column slice of a C-ordered array.
     """
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        state = _philox_state(self.seed, 0)
-        self._bg = np.random.Philox(key=state["state"]["key"])
-        self._gen = np.random.Generator(self._bg)
-        # the reset state in plain ints and lists: numpy's state setter
-        # reads them about 2.5x faster than uint64 arrays, same draws
-        self._key = [self.seed & _MASK64, 0]
-        self._state = {
-            **state,
-            "state": {"counter": [0, 0, 0, 0], "key": self._key},
-            "buffer": [0, 0, 0, 0],
-        }
-
-    def _reset(self, stream_id: int) -> None:
-        self._key[1] = stream_id & _MASK64
-        self._bg.state = self._state
-
-    def normals(self, stream_id: int, count: int) -> np.ndarray:
-        self._reset(stream_id)
-        return self._gen.standard_normal(count)
-
-    def first_normal(self, stream_id: int) -> float:
-        """The first standard normal of stream (seed, stream_id), as a scalar draw."""
-        self._reset(stream_id)
-        return self._gen.standard_normal()
+    for row, gen in zip(out, _streams(seed, ids)):
+        gen.standard_normal(out.shape[1], out=row)
 
 
 # -- first draws of many streams at once --------------------------------------
@@ -160,7 +138,7 @@ _M0 = int(_PHILOX_M0)
 _M0_LO, _M0_HI = _PHILOX_M0 & _LOW32, _PHILOX_M0 >> _SHIFT32
 _M1_LO, _M1_HI = _PHILOX_M1 & _LOW32, _PHILOX_M1 >> _SHIFT32
 
-# keys per block of standard_normals: its nine uint64 Philox buffers take
+# keys per block of normals(..., 1): its nine uint64 Philox buffers take
 # 1.2 MB, which stays in a 2 MB L2 (the kernel on a 2-core Xeon, 2 MB L2
 # per core: 123 ns a key at 4096 keys, 85 at 16384, 108 at 65536)
 _BLOCK = 16384
@@ -412,16 +390,16 @@ def _ziggurat_fast_path(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, rabs < _ZIGGURAT_KI[idx]
 
 
-def standard_normals(seed: int, stream_ids) -> np.ndarray:
-    """The first standard normal of each stream (seed, id), shape of stream_ids.
+def normals(seed: int, stream_ids, count: int) -> np.ndarray:
+    """The first count standard normals of each stream (seed, id).
 
-    Bit for bit StreamBank(seed).first_normal(id) per id, computed for all
-    ids at once.  stream_ids is an integer array whose values are taken
-    mod 2**64, as StreamBank masks them.  Work proceeds in blocks of _BLOCK
-    keys through one set of nine Philox buffers, reused by every block and
-    written in place, so memory does not grow with the number of streams
-    and the kernel's working set stays in L2.  The kernel forms only the
-    Philox products that reach output word 0 (see the module docstring).
+    The result has shape stream_ids.shape + (count,), and its row for id is
+    bit for bit RngStream(seed, id).generator.standard_normal(count).
+    stream_ids is an integer array whose values are taken mod 2**64.  For
+    count == 1 the Philox words are computed for all ids at once, in blocks
+    of _BLOCK keys through one set of nine buffers reused by every block,
+    so memory does not grow with the number of streams and the kernel's
+    working set stays in L2 (see the module docstring).
     """
     seed = int(seed) & _MASK64
     ids = np.asarray(stream_ids)
@@ -429,18 +407,23 @@ def standard_normals(seed: int, stream_ids) -> np.ndarray:
         # e.g. a list mixing ints >= 2**63 with small ones becomes float64
         raise TypeError(f"stream_ids must be an integer array, got dtype {ids.dtype}")
     flat = ids.astype(np.uint64, copy=False).ravel()
+    if count != 1:
+        out = np.empty((flat.size, count))
+        _fill_normals(seed, flat, out)
+        return out.reshape(ids.shape + (count,))
     out = np.empty(flat.size)
+    accepted = np.empty(flat.size, dtype=bool)
     work = np.empty((9, min(flat.size, _BLOCK)), dtype=np.uint64)
-    bank = None
     for lo in range(0, flat.size, _BLOCK):
-        block = flat[lo : lo + _BLOCK]
-        x, accepted = _ziggurat_fast_path(_philox_first_words(seed, block, work))
-        missed = np.flatnonzero(~accepted)
-        if missed.size:
-            bank = bank or StreamBank(seed)
-            x[missed] = [bank.first_normal(i) for i in block[missed].tolist()]
-        out[lo : lo + block.size] = x
-    return out.reshape(ids.shape)
+        hi = lo + _BLOCK
+        out[lo:hi], accepted[lo:hi] = _ziggurat_fast_path(
+            _philox_first_words(seed, flat[lo:hi], work)
+        )
+    missed = np.flatnonzero(~accepted)
+    if missed.size:
+        # a scalar draw: about 1 us a key cheaper than filling a row
+        out[missed] = [gen.standard_normal() for gen in _streams(seed, flat[missed])]
+    return out.reshape(ids.shape + (1,))
 
 
 def derive_seed(seed: int, label: int) -> int:

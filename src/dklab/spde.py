@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .parallel import run_chunked
-from .rng import RngStream, gaussian_increment, replicate_stream
+from .rng import REPLICATE_STRIDE, RngStream
 from .torus import TorusDomain
 
 
@@ -98,7 +98,7 @@ def step(
     mu_right = np.roll(mu, -1, axis=-1)
     diff_flux = (0.5 * alpha / dx) * (mu_right - mu)
     if noise_scale != 0.0:
-        xi = gaussian_increment(stream, mu.size, 1.0).reshape(mu.shape)
+        xi = stream.generator.standard_normal(mu.size).reshape(mu.shape)
         interface = 0.5 * (mu + mu_right)
         noise_flux = (
             noise_scale * np.sqrt(np.maximum(interface, 0.0)) * xi * np.sqrt(dt / dx)
@@ -191,7 +191,7 @@ def negativity_ensemble(
         for r in range(lo, hi):
             fld = make_field(dom, initial, dt, alpha)
             hits[r] = first_negativity(
-                fld, alpha, max_steps, replicate_stream(seed, r), noise_scale
+                fld, alpha, max_steps, RngStream(seed, r * REPLICATE_STRIDE), noise_scale
             )
 
     run_chunked(seeds, member, threads, min_chunk=4)

@@ -10,6 +10,7 @@ import warnings
 import pytest
 
 import dklab
+from dklab import cli
 from dklab.cli import UsageError, main, parse_config, parse_manifest
 from dklab.parallel import thread_count
 
@@ -158,6 +159,12 @@ REFUSED = {
     "vhj-check-suite-0": ["vhj-check", "--alpha", "1", "--suite", "0"],
     "replay-missing-keys": ["replay", "--manifest", "{manifest}"],
     "pgf-alpha-inf": ["pgf", "--alpha", "inf"],
+    "breakdown-max-steps-negative": ["breakdown", "--alpha", "1.5", "--grid", "16",
+                                     "--replicates", "3", "--max-steps", "-5"],
+    "breakdown-max-steps-0": ["breakdown", "--alpha", "1.5", "--grid", "16",
+                              "--replicates", "3", "--max-steps", "0"],
+    "martingale-num-steps-0": ["martingale", "--alpha", "1", "--replicates", "200",
+                               "--num-steps", "0"],
 }
 
 
@@ -175,6 +182,18 @@ class TestRefusals:
         assert code == 1
         assert not caught
         assert err.startswith("dklab: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_of_memory_is_refused(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.64 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_duality_test", too_large)
+        out = tmp_path / "huge.csv"
+        code = run_cli(["duality", "--alpha", "2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("dklab: out of memory") and "Traceback" not in err
         assert not out.exists()
 
     def test_import_leaves_scipy_unloaded(self):

@@ -241,10 +241,10 @@ def run_configs(draw):
         f=draw(SAFE_TEXT),
         set_a=draw(SAFE_TEXT),
         order=draw(st.integers(1, 64)),
-        max_steps=draw(st.integers(-(2**70), 2**70)),
+        max_steps=draw(st.integers(1, 2**70)),
         dt_factor=draw(st.floats(min_value=5e-324, max_value=1.0)),
         suite=draw(st.integers(1, 2**70)),
-        num_steps=draw(st.integers(-(2**70), 2**70)),
+        num_steps=draw(st.integers(1, 2**70)),
     )
 
 

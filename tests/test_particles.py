@@ -6,21 +6,31 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dklab import particles
+from dklab import particles, rng
 from dklab import (
     EmpiricalMeasure,
     FourierFunction,
-    gaussian_increment,
+    ParticlePath,
     martingale_ensemble,
     martingale_functional,
     pair_against,
     qv_statistic,
-    replicate_stream,
-    sample_terminal,
     simulate_path,
     terminal_ensemble,
+    wrap,
 )
 from oracles import wrapped_gaussian_cdf
+
+
+def stream_normals(seed, replicate, n, count):
+    """The first count normals of the streams (seed, replicate * 2**32 + i),
+    i < n, from numpy's own Philox; shape (n, count)."""
+    bg = np.random.Philox()
+    out = np.empty((n, count))
+    for i in range(n):
+        bg.state = rng._philox_state(seed, replicate * 2**32 + i)
+        out[i] = np.random.Generator(bg).standard_normal(count)
+    return out
 
 
 def cos1():
@@ -55,40 +65,39 @@ class TestEmpiricalMeasure:
 class TestSimulatePath:
     def test_zero_time_is_constant(self):
         mu0 = EmpiricalMeasure([0.3])
-        path = simulate_path(mu0, 1, 0.0, 10, replicate_stream(1, 0))
+        path = simulate_path(mu0, 1, 0.0, 10, 1)
         assert np.all(path.positions == 0.3)
 
     def test_non_integer_alpha_refused(self):
         mu0 = EmpiricalMeasure([0.3])
         with pytest.raises(ValueError, match="non-integer"):
-            simulate_path(mu0, 1.5, 0.1, 10, replicate_stream(1, 0))
+            simulate_path(mu0, 1.5, 0.1, 10, 1)
 
     def test_atom_count_must_match_alpha(self):
         mu0 = EmpiricalMeasure([0.3, 0.6])
         with pytest.raises(ValueError, match="atoms"):
-            simulate_path(mu0, 3, 0.1, 10, replicate_stream(1, 0))
+            simulate_path(mu0, 3, 0.1, 10, 1)
 
     def test_mass_one_along_path(self):
         mu0 = EmpiricalMeasure([0.2, 0.7])
-        path = simulate_path(mu0, 2, 0.05, 50, replicate_stream(3, 0))
+        path = simulate_path(mu0, 2, 0.05, 50, 3)
         one = FourierFunction.constant(1.0)
         for state in path.states:
             assert pair_against(one, state) == 1.0
 
     def test_repeated_atoms_allowed(self):
         mu0 = EmpiricalMeasure([0.5, 0.5])
-        path = simulate_path(mu0, 2, 0.01, 5, replicate_stream(4, 0))
+        path = simulate_path(mu0, 2, 0.01, 5, 4)
         assert path.positions.shape == (6, 2)
 
     def test_increment_variance(self):
-        # displacement variance over the path equals internal elapsed time n*t
-        t, n_rep = 0.1, 10**5
-        sig2 = np.empty(n_rep)
-        for r in range(n_rep):
-            sig2[r] = gaussian_increment(replicate_stream(11, r).child(0), 1, t)[0]
-        var = sig2.var()
-        se = t * np.sqrt(2.0 / n_rep)
-        assert abs(var - t) < 3 * se
+        # displacement variance equals internal elapsed time n*t; at
+        # n*t = 0.004 no displacement reaches 1/2, so none is hidden by the wrap
+        t, n, n_rep = 0.002, 2, 10**5
+        pos = terminal_ensemble(EmpiricalMeasure([0.5, 0.5]), n, t, n_rep, seed=11)
+        var = (pos - 0.5).var()
+        se = n * t * np.sqrt(2.0 / pos.size)
+        assert abs(var - n * t) < 3 * se
 
     def test_marginal_is_wrapped_normal(self):
         # KS against the wrapped normal CDF, mean 0.5, variance n*t = 0.1
@@ -109,25 +118,38 @@ class TestSimulatePath:
         res = stats.ks_2samp(pos_multi, pos_single)
         assert res.pvalue > 0.001
 
-    def test_terminal_matches_sample_terminal(self):
+    def test_terminal_matches_per_stream_draws(self):
         mu0 = EmpiricalMeasure([0.1, 0.6])
-        batch = terminal_ensemble(mu0, 2, 0.05, 15, seed=21)
-        for r in range(15):
-            single = sample_terminal(mu0, 2, 0.05, replicate_stream(21, r))
-            assert np.array_equal(batch[r], single.positions)
+        for seed in (21, 2**63 + 21):
+            batch = terminal_ensemble(mu0, 2, 0.05, 15, seed=seed)
+            for r in range(15):
+                z = stream_normals(seed, r, 2, 1)[:, 0]
+                assert np.array_equal(batch[r], wrap(mu0.positions + np.sqrt(2 * 0.05) * z))
+                one_step = simulate_path(mu0, 2, 0.05, 1, seed, r)
+                assert np.array_equal(batch[r], one_step.positions[1])
+            assert np.array_equal(terminal_ensemble(mu0, 2, 0.05, 1, seed=seed), batch[:1])
+
+    @pytest.mark.parametrize("t_final, num_steps, name", [(-0.01, 10, "t_final"),
+                                                          (0.05, 0, "num_steps")])
+    def test_refuses_reversed_or_empty_time_grid(self, t_final, num_steps, name):
+        mu0 = EmpiricalMeasure([0.3])
+        with pytest.raises(ValueError, match=name):
+            martingale_ensemble(mu0, 1, cos1(), t_final, num_steps, 200, seed=1)
+        with pytest.raises(ValueError, match=name):
+            simulate_path(mu0, 1, t_final, num_steps, seed=1)
 
 
 class TestMartingaleFunctional:
     def test_constant_phi_gives_zero(self):
         mu0 = EmpiricalMeasure([0.2, 0.9])
-        path = simulate_path(mu0, 2, 0.05, 40, replicate_stream(31, 0))
+        path = simulate_path(mu0, 2, 0.05, 40, 31)
         ms = martingale_functional(path, FourierFunction.constant(7.0))
         assert np.allclose(ms.m_values, 0.0, atol=1e-12)
         assert np.allclose(ms.qv_integral, 0.0, atol=1e-12)
 
     def test_starts_at_zero_and_qv_nondecreasing(self):
         mu0 = EmpiricalMeasure([0.2, 0.9, 0.4])
-        path = simulate_path(mu0, 3, 0.05, 60, replicate_stream(32, 0))
+        path = simulate_path(mu0, 3, 0.05, 60, 32)
         phi = FourierFunction.from_modes(cos={1: 0.5}, sin={2: 0.2})
         ms = martingale_functional(path, phi)
         assert ms.m_values[0] == 0.0
@@ -137,7 +159,7 @@ class TestMartingaleFunctional:
         # M_t = (1/n) sum_i M^i at internal time, recomputed independently
         n, t, steps = 3, 0.06, 80
         mu0 = EmpiricalMeasure([0.15, 0.5, 0.85])
-        path = simulate_path(mu0, n, t, steps, replicate_stream(33, 0))
+        path = simulate_path(mu0, n, t, steps, 33)
         phi = FourierFunction.from_modes(cos={1: 0.7}, sin={1: -0.3})
         ms = martingale_functional(path, phi)
 
@@ -156,13 +178,22 @@ class TestMartingaleFunctional:
         assert np.allclose(ms.m_values, total / n, atol=1e-12)
 
     def test_ensemble_matches_per_path(self):
+        # reference paths built here from numpy's Philox, stream by stream
         mu0 = EmpiricalMeasure([0.3, 0.8])
         phi = FourierFunction.from_modes(cos={1: 0.5})
+        t, steps = 0.05, 30
+        times = np.linspace(0.0, t, steps + 1)
+        sigma = np.sqrt(2 * (t / steps))
         for seed in (34, 2**63 + 34):
-            m, qv, t = martingale_ensemble(mu0, 2, phi, 0.05, 30, 10, seed=seed)
+            m, qv, _ = martingale_ensemble(mu0, 2, phi, t, steps, 10, seed=seed)
             for r in range(10):
-                path = simulate_path(mu0, 2, 0.05, 30, replicate_stream(seed, r))
-                ms = martingale_functional(path, phi)
+                z = stream_normals(seed, r, 2, steps)
+                walk = wrap(mu0.positions + np.cumsum(z.T, axis=0) * sigma)
+                want = np.vstack([mu0.positions, walk])
+                path = simulate_path(mu0, 2, t, steps, seed, r)
+                assert np.array_equal(path.positions, want)
+                assert np.array_equal(path.times, times)
+                ms = martingale_functional(ParticlePath(times, want, 2), phi)
                 assert abs(ms.m_values[-1] - m[r]) < 1e-12
                 assert abs(ms.qv_integral[-1] - qv[r]) < 1e-12
 

@@ -9,67 +9,97 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import make_ziggurat
-from dklab import RngStream, derive_seed, gaussian_increment, replicate_stream
+from dklab import EmpiricalMeasure, RngStream, derive_seed, simulate_path, terminal_ensemble
 from dklab import rng
 from dklab.particles import standard_increments
-from dklab.rng import StreamBank, standard_normals
+from dklab.rng import normals, replicate_stream_ids
 
 U64 = (1 << 64) - 1
-
-
-def test_same_key_same_output():
-    a = gaussian_increment(RngStream(123, 45), 100, 1.0)
-    b = gaussian_increment(RngStream(123, 45), 100, 1.0)
-    assert np.array_equal(a, b)
-
-
-def test_distinct_keys_differ():
-    a = gaussian_increment(RngStream(123, 45), 100, 1.0)
-    b = gaussian_increment(RngStream(123, 46), 100, 1.0)
-    c = gaussian_increment(RngStream(124, 45), 100, 1.0)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
-def test_variance_zero_returns_zeros():
-    assert np.all(gaussian_increment(RngStream(1, 2), 8, 0.0) == 0.0)
-
-
-def test_negative_variance_rejected():
-    with pytest.raises(ValueError):
-        gaussian_increment(RngStream(1, 2), 8, -1.0)
-
-
-def test_sample_mean_within_lln_tolerance():
-    x = gaussian_increment(RngStream(7, 0), 10**6, 1.0)
-    assert abs(x.mean()) < 4.0 / np.sqrt(10**6)
-
-
-def test_variance_scales():
-    x = gaussian_increment(RngStream(8, 0), 10**5, 0.25)
-    assert abs(x.var() - 0.25) < 4 * 0.25 * np.sqrt(2 / 10**5)
-
-
-def test_ks_statistic_below_criticial_value():
-    # 0.001-level Kolmogorov-Smirnov on 1e5 samples
-    n = 10**5
-    x = gaussian_increment(RngStream(9, 1), n, 1.0)
-    stat = stats.kstest(x, "norm").statistic
-    critical = stats.kstwobign.isf(0.001) / np.sqrt(n)
-    assert stat < critical
 
 
 def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
-def test_stream_bank_matches_fresh_streams():
-    bank = StreamBank(321)
-    ids = (0, 1, 2**32, 5 * 2**32 + 3, 1, 0, 2**63 - 1, 2**32, 7)
-    counts = (16, 1, 3, 16, 200, 2, 5, 1, 16)
-    for sid, count in zip(ids, counts):
-        fresh = RngStream(321, sid).generator.standard_normal(count)
-        assert np.array_equal(bits(bank.normals(sid, count)), bits(fresh))
+def reference_normals(seed, ids, count):
+    """The first count normals of each stream (seed, id), one key at a time
+    through numpy's own Philox; shape ids.shape + (count,)."""
+    bg = np.random.Philox()
+    gen = np.random.Generator(bg)
+    state = rng._philox_state(seed, 0)
+    flat = np.ravel(ids).tolist()
+    out = np.empty((len(flat), count))
+    for j, sid in enumerate(flat):
+        state["state"]["key"][1] = sid  # the state of rng._philox_state(seed, sid)
+        bg.state = state
+        out[j] = gen.standard_normal(count)
+    return out.reshape(np.shape(ids) + (count,))
+
+
+def test_same_key_same_output():
+    a = normals(123, [45], 100)
+    assert np.array_equal(a, normals(123, [45], 100))
+    assert np.array_equal(a[0], RngStream(123, 45).generator.standard_normal(100))
+
+
+def test_distinct_keys_differ():
+    a, b = normals(123, [45, 46], 100)
+    c = normals(124, [45], 100)[0]
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+# the variance of a particle's draw is n * dt, set by the path sampler
+
+
+def test_variance_zero_returns_zeros():
+    mu0 = EmpiricalMeasure([0.25, 0.5, 0.75])
+    assert np.array_equal(terminal_ensemble(mu0, 3, 0.0, 50, 1), np.tile(mu0.positions, (50, 1)))
+    path = simulate_path(mu0, 3, 0.0, 8, 1)
+    assert np.array_equal(path.positions, np.tile(mu0.positions, (9, 1)))
+
+
+def test_negative_variance_rejected():
+    mu0 = EmpiricalMeasure([0.5])
+    with pytest.raises(ValueError, match="t_final"):
+        terminal_ensemble(mu0, 1, -1.0, 10, 1)
+    with pytest.raises(ValueError, match="t_final"):
+        simulate_path(mu0, 1, -1.0, 10, 1)
+
+
+def test_sample_mean_within_lln_tolerance():
+    x = normals(7, [0], 10**6)[0]
+    assert abs(x.mean()) < 4.0 / np.sqrt(10**6)
+
+
+def test_variance_scales():
+    # 2 * 10**5 steps of variance n * dt = 2 * 0.125 / 10**5; each step is
+    # under 0.01, so the wrapped positions give the steps back
+    steps, target = 10**5, 2 * 0.125 / 10**5
+    path = simulate_path(EmpiricalMeasure([0.2, 0.7]), 2, 0.125, steps, 8)
+    dx = np.diff(path.positions, axis=0)
+    x = dx - np.round(dx)
+    assert abs(x.var() - target) < 4 * target * np.sqrt(2 / x.size)
+
+
+def test_ks_statistic_below_criticial_value():
+    # 0.001-level Kolmogorov-Smirnov on 1e5 samples
+    n = 10**5
+    x = normals(9, [1], n)[0]
+    stat = stats.kstest(x, "norm").statistic
+    critical = stats.kstwobign.isf(0.001) / np.sqrt(n)
+    assert stat < critical
+
+
+def test_normals_match_fresh_streams():
+    # every count the drivers draw (1, 30, 200), repeated and far-apart ids
+    ids = np.array([0, 1, 2**32, 5 * 2**32 + 3, 1, 0, 2**63 - 1, 2**32, 7], dtype=np.uint64)
+    for count in (1, 2, 3, 16, 30, 200):
+        want = reference_normals(321, ids, count)
+        assert np.array_equal(bits(normals(321, ids, count)), bits(want))
+        for sid, row in zip(ids.tolist(), want):
+            fresh = RngStream(321, sid).generator.standard_normal(count)
+            assert np.array_equal(bits(fresh), bits(row))
 
 
 def test_stream_keys_at_and_above_two_to_the_63():
@@ -78,22 +108,25 @@ def test_stream_keys_at_and_above_two_to_the_63():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed, sid in keys:
-            got = RngStream(seed, sid).generator.standard_normal(16)
-            assert np.array_equal(bits(got), bits(StreamBank(seed).normals(sid, 16)))
+            want = reference_normals(seed, [sid], 200)[0]
+            got = RngStream(seed, sid).generator.standard_normal(200)
+            assert np.array_equal(bits(got), bits(want))
+            for count in (1, 30, 200):
+                got = normals(seed, np.array([sid], dtype=np.uint64), count)[0]
+                assert np.array_equal(bits(got), bits(want[:count]))
     a = RngStream(2**63 + 5, 0).generator.standard_normal(8)
     b = RngStream(2**63, 0).generator.standard_normal(8)
     assert not np.array_equal(a, b)
 
 
 def reference_increments(n, replicates, seed, first_replicate):
-    bank = StreamBank(seed)
-    return np.array([
-        [bank.normals((first_replicate + r) * 2**32 + i, 1)[0] for i in range(n)]
-        for r in range(replicates)
-    ]).reshape(replicates, n)
+    ids = [((first_replicate + r) * 2**32 + i) & U64 for r in range(replicates) for i in range(n)]
+    ids = np.array(ids, dtype=np.uint64).reshape(replicates, n)
+    return reference_normals(seed, ids, 1)[..., 0]
 
 
-# 40 examples of about 25 000 keys each: 10**6 keys against the per-stream draws
+# 43 examples of about 10**5 keys (six blocks) each: 4 * 10**6 keys against
+# the per-stream draws
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, U64),
@@ -123,7 +156,7 @@ def numpy_first_words(seed, ids):
 
 
 # the in-place kernel, run block by block through one reused scratch as
-# standard_normals runs it, against numpy's Philox4x64-10
+# normals(..., 1) runs it, against numpy's Philox4x64-10
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, U64),
@@ -151,10 +184,11 @@ def test_stream_ids_wrap_mod_two_to_the_64():
     b = standard_increments(3, 10, 99, 2**33 - 4)
     assert np.array_equal(bits(a), bits(b))
     ids = np.array([-1, -2**32, -2**63], dtype=np.int64)
-    want = [StreamBank(99).normals(int(i) & U64, 1)[0] for i in ids]
-    assert np.array_equal(bits(standard_normals(99, ids)), bits(want))
+    for count in (1, 30):
+        want = reference_normals(99, [int(i) & U64 for i in ids], count)
+        assert np.array_equal(bits(normals(99, ids, count)), bits(want))
     with pytest.raises(TypeError):
-        standard_normals(99, [2**63 + 1, 2])  # would round through float64
+        normals(99, [2**63 + 1, 2], 1)  # would round through float64
 
 
 def test_fallback_keys_match_per_stream_draws():
@@ -162,9 +196,8 @@ def test_fallback_keys_match_per_stream_draws():
     _, accepted = rng._ziggurat_fast_path(rng._philox_first_words(seed, ids))
     missed = ids[~accepted]
     assert 200 < missed.size < 1200  # about 1.5% of the keys
-    bank = StreamBank(seed)
-    want = [bank.normals(int(i), 1)[0] for i in missed]
-    assert np.array_equal(bits(standard_normals(seed, missed)), bits(want))
+    want = reference_normals(seed, missed, 1)
+    assert np.array_equal(bits(normals(seed, missed, 1)), bits(want))
 
 
 def test_every_key_forced_onto_the_fallback(monkeypatch):
@@ -175,10 +208,12 @@ def test_every_key_forced_onto_the_fallback(monkeypatch):
 
 def test_empty_and_shaped_requests():
     assert standard_increments(4, 0, 1).shape == (0, 4)
+    assert normals(8, np.zeros(0, dtype=np.uint64), 200).shape == (0, 200)
     ids = np.arange(12, dtype=np.uint64).reshape(3, 2, 2)
-    got = standard_normals(8, ids)
-    assert got.shape == (3, 2, 2)
-    assert np.array_equal(bits(got.ravel()), bits(standard_normals(8, ids.ravel())))
+    for count in (1, 30):
+        got = normals(8, ids, count)
+        assert got.shape == (3, 2, 2, count)
+        assert np.array_equal(bits(got.reshape(12, count)), bits(normals(8, ids.ravel(), count)))
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +250,11 @@ def test_ziggurat_layer_edges(fake_bitgen):
 
 
 def test_replicate_stream_layout():
-    s = replicate_stream(99, 7)
-    assert s.stream_id == 7 * 2**32
-    assert s.child(3).stream_id == 7 * 2**32 + 3
+    ids = replicate_stream_ids(3, 4, 7)
+    assert ids.dtype == np.uint64 and ids.shape == (3, 4)
+    assert ids.tolist() == [[(7 + r) * 2**32 + i for i in range(4)] for r in range(3)]
+    top = (U64 << 32) & U64  # replicate 2**64 - 1; the next one wraps to 0
+    assert replicate_stream_ids(2, 2, U64).tolist() == [[top, top + 1], [0, 1]]
 
 
 def test_derive_seed_deterministic_and_spread():

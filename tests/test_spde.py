@@ -10,7 +10,7 @@ from dklab import (
     heat_semigroup,
     make_field,
     negativity_ensemble,
-    replicate_stream,
+    RngStream,
     stability_limit,
     step,
 )
@@ -42,7 +42,7 @@ class TestMassConservation:
     def test_exact_per_step(self, dom):
         alpha = 1.5
         fld = make_field(dom, 1.0, 0.5 * stability_limit(dom, alpha), alpha)
-        stream = replicate_stream(1, 0)
+        stream = RngStream(1, 0)
         for _ in range(200):
             fld = step(fld, alpha, stream)
             assert abs(fld.mass() - 1.0) < 1e-12
@@ -52,7 +52,7 @@ class TestMassConservation:
         rho = FourierFunction.from_modes(mean=2.0, cos={1: 0.5}, sin={3: 0.2})
         fld = make_field(dom, initial(dom, rho.evaluate), 0.5 * stability_limit(dom, alpha), alpha)
         m0 = fld.mass()
-        fld = evolve(fld, alpha, 100, replicate_stream(2, 0))
+        fld = evolve(fld, alpha, 100, RngStream(2, 0))
         assert abs(fld.mass() - m0) < 1e-12 * abs(m0)
 
 
@@ -61,7 +61,7 @@ class TestZeroNoiseHeatLimit:
         alpha = 2.0
         rho = FourierFunction.from_modes(mean=1.0, cos={1: 0.5})
         fld = make_field(dom, initial(dom, rho.evaluate), 0.9 * stability_limit(dom, alpha), alpha)
-        fld = evolve(fld, alpha, 20000, replicate_stream(3, 0), noise_scale=0.0)
+        fld = evolve(fld, alpha, 20000, RngStream(3, 0), noise_scale=0.0)
         assert np.max(np.abs(fld.cell_values - 1.0)) < 1e-6
 
     def test_matches_spectral_heat_solution(self, dom):
@@ -71,7 +71,7 @@ class TestZeroNoiseHeatLimit:
         steps = 400
         t = dt * steps
         fld = make_field(dom, initial(dom, rho.evaluate), dt, alpha)
-        fld = evolve(fld, alpha, steps, replicate_stream(4, 0), noise_scale=0.0)
+        fld = evolve(fld, alpha, steps, RngStream(4, 0), noise_scale=0.0)
         exact = heat_semigroup(dom, rho, alpha, t).sample(dom)
         # O(dx^2 + dt) scheme; dx = 1/64 dominates
         assert np.max(np.abs(fld.cell_values - exact)) < 5 * (dom.dx**2 + dt) * 40
@@ -86,7 +86,7 @@ class TestNoiseStatistics:
         dt = 0.5 * stability_limit(dom, alpha)
         reps = 10**6
         fld = make_field(dom, np.ones((reps, dom.grid_size)), dt, alpha)
-        stepped = step(fld, alpha, replicate_stream(5, 0))
+        stepped = step(fld, alpha, RngStream(5, 0))
         samples = (stepped.cell_values - 1.0).ravel()
         target = 2.0 * dt / dom.dx**3
         var = samples.var()
@@ -97,8 +97,8 @@ class TestNoiseStatistics:
     def test_same_seed_same_trajectory(self, dom):
         alpha = 1.5
         dt = 0.5 * stability_limit(dom, alpha)
-        a = evolve(make_field(dom, 1.0, dt, alpha), alpha, 50, replicate_stream(6, 0))
-        b = evolve(make_field(dom, 1.0, dt, alpha), alpha, 50, replicate_stream(6, 0))
+        a = evolve(make_field(dom, 1.0, dt, alpha), alpha, 50, RngStream(6, 0))
+        b = evolve(make_field(dom, 1.0, dt, alpha), alpha, 50, RngStream(6, 0))
         assert np.array_equal(a.cell_values, b.cell_values)
 
 
@@ -106,7 +106,7 @@ class TestNegativity:
     def test_zero_noise_never_negative(self, dom):
         alpha = 1.5
         fld = make_field(dom, 1.0, 0.5 * stability_limit(dom, alpha), alpha)
-        assert first_negativity(fld, alpha, 2000, replicate_stream(7, 0), noise_scale=0.0) is None
+        assert first_negativity(fld, alpha, 2000, RngStream(7, 0), noise_scale=0.0) is None
 
     def test_breakdown_is_fast_at_full_noise(self, dom):
         alpha = 1.5
@@ -135,7 +135,7 @@ class TestNegativity:
     def test_reports_step_and_cell(self, dom):
         alpha = 1.5
         fld = make_field(dom, 1.0, 0.5 * stability_limit(dom, alpha), alpha)
-        hit = first_negativity(fld, alpha, 2000, replicate_stream(10, 0))
+        hit = first_negativity(fld, alpha, 2000, RngStream(10, 0))
         assert hit is not None
         step_idx, cell = hit
         assert step_idx >= 1
