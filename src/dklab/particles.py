@@ -24,10 +24,17 @@ moments over time before pairing, since it keeps only the final M_t and
 qv_t, and it simulates paths in chunks whose arrays hold at most
 _CHUNK_BYTES (512 KiB) each, so its memory does not grow with the
 replicate count and a chunk's working set stays close to the L2 cache.
+Each worker thread takes one set of buffers (its arena) on its first
+chunk and writes every later chunk into prefix views of it: the positions
+(at most _CHUNK_BYTES) and the two complex moment arrays (twice that
+each).  The arenas live for one call, so a call holds about
+5 * _CHUNK_BYTES per thread and allocates, and page-faults, that memory
+once rather than once a chunk.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,11 +42,20 @@ import numpy as np
 
 from .parallel import run_chunked
 from .rng import _fill_normals, normals, replicate_stream_ids
-from .torus import FourierFunction, carre_du_champ, fourier_moments, generator_L, wrap
+from .torus import (
+    FourierFunction,
+    _fourier_moments_into,
+    carre_du_champ,
+    fourier_moments,
+    generator_L,
+    wrap,
+)
 
-# bytes of one chunk array (replicates x particles x grid times, float64)
-# in martingale_ensemble; the complex moment arrays take twice that, so
-# 512 KiB keeps a chunk and its moments near a 2 MB L2 cache
+# bytes of one chunk's positions (replicates x particles x grid times,
+# float64) in martingale_ensemble; each of the two complex moment arrays
+# takes twice that, so 512 KiB keeps a chunk and its moments near a 2 MB
+# L2 cache, and a worker's arena, which holds all three, at about
+# 5 * _CHUNK_BYTES
 _CHUNK_BYTES = 1 << 19
 
 
@@ -123,7 +139,13 @@ def _check_grid(mu0: EmpiricalMeasure, alpha, t_final: float, num_steps: int) ->
 
 
 def _paths(
-    mu0: EmpiricalMeasure, sigma: float, num_steps: int, seed: int, lo: int, hi: int
+    mu0: EmpiricalMeasure,
+    sigma: float,
+    num_steps: int,
+    seed: int,
+    lo: int,
+    hi: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unwrapped positions of replicates lo..hi-1, shape (hi - lo, n, num_steps + 1).
 
@@ -131,10 +153,13 @@ def _paths(
     atom plus sigma times the sum of the first k normals of stream
     (seed, (lo + r) * 2**32 + i), the draws that normals(seed, ids,
     num_steps) returns for these ids.  simulate_path and
-    martingale_ensemble both draw through here.
+    martingale_ensemble both draw through here.  out, if given, is a
+    contiguous 1-D float64 buffer of at least (hi - lo) * n * (num_steps + 1)
+    entries; x is then a view of its head, and nothing else of it is read.
     """
     ids = replicate_stream_ids(hi - lo, mu0.n, lo)
-    x = np.empty(ids.shape + (num_steps + 1,))
+    shape = ids.shape + (num_steps + 1,)
+    x = np.empty(shape) if out is None else out[: ids.size * shape[-1]].reshape(shape)
     x[..., 0] = 0.0
     # the draws go straight into x: a separate array of them would be
     # allocated and page-faulted afresh for every chunk
@@ -325,7 +350,10 @@ def martingale_ensemble(
     of paths is reduced to the Fourier moments of its final states and the
     trapezoid time integral of its moments, and the three pairings are
     taken from those; a chunk holds at most _CHUNK_BYTES bytes of
-    positions, whatever the replicate count.
+    positions, whatever the replicate count.  Each worker thread writes its
+    chunks into one arena, a positions buffer and two complex moment
+    buffers sized for the largest chunk, allocated on its first chunk and
+    freed when the call returns: about 5 * _CHUNK_BYTES per thread.
     """
     n = _check_grid(mu0, alpha, t_final, num_steps)
     times = np.linspace(0.0, t_final, num_steps + 1)
@@ -338,16 +366,25 @@ def martingale_ensemble(
     start = phi.pair_moments(fourier_moments(mu0.positions, order))
     m_final = np.empty(replicates)
     qv_final = np.empty(replicates)
+    cap = max(1, _CHUNK_BYTES // ((num_steps + 1) * n * 8))
+    arena_size = min(cap, replicates) * n * (num_steps + 1)
+    arenas = threading.local()  # one per worker thread, dropped on return
 
     def fill(lo, hi):
-        x = _paths(mu0, sigma, num_steps, seed, lo, hi)
-        final = fourier_moments(x[:, :, -1], order)
-        integral = fourier_moments(x.reshape(hi - lo, -1), order, weights)
+        if not hasattr(arenas, "buffers"):
+            arenas.buffers = (
+                np.empty(arena_size),
+                np.empty(arena_size, dtype=complex),
+                np.empty(arena_size, dtype=complex),
+            )
+        positions, e1, ek = arenas.buffers
+        x = _paths(mu0, sigma, num_steps, seed, lo, hi, out=positions)
+        final = _fourier_moments_into(x[:, :, -1], order, None, e1, ek)
+        integral = _fourier_moments_into(x.reshape(hi - lo, -1), order, weights, e1, ek)
         m_final[lo:hi] = (
             phi.pair_moments(final) - start - 0.5 * n * lphi.pair_moments(integral)
         )
         qv_final[lo:hi] = gphi.pair_moments(integral)
 
-    cap = max(1, _CHUNK_BYTES // ((num_steps + 1) * n * 8))
     run_chunked(replicates, fill, threads, min_chunk=512, max_chunk=cap)
     return m_final, qv_final, t_final

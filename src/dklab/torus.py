@@ -272,6 +272,21 @@ def fourier_moments(x, max_mode: int, weights=None) -> np.ndarray:
     would tie the result to how a caller batches its points.
     """
     x = np.asarray(x, dtype=float)
+    return _fourier_moments_into(
+        x, max_mode, weights, np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
+    )
+
+
+def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarray:
+    """fourier_moments(x, max_mode, weights) of a float64 array x, with its
+    complex arrays in the buffers.
+
+    e1_buf and ek_buf are contiguous 1-D complex buffers of at least x.size
+    entries; the first x.size entries of each are overwritten, by
+    exp(2 pi i x) and by its higher powers.  A caller that takes moments
+    chunk after chunk passes the same two buffers every time, so no call
+    allocates (and page-faults) an array of x's size.
+    """
     if weights is None:
         w = np.full(x.shape[-1], 1.0 / x.shape[-1])
         mass = 1.0
@@ -282,8 +297,13 @@ def fourier_moments(x, max_mode: int, weights=None) -> np.ndarray:
     out[..., 0] = mass
     if max_mode < 1:
         return out
-    e1 = np.exp((1j * TWO_PI) * x)
-    ek = e1.copy()
+    e1 = e1_buf[: x.size].reshape(x.shape)
+    np.exp(np.multiply(1j * TWO_PI, x, out=e1), out=e1)
+    # ek is a copy of e1 multiplied in place: numpy rounds a one-point
+    # np.multiply(e1, e1, out=ek) differently from ek *= e1 (it takes
+    # another loop), and the copy costs nothing measurable
+    ek = ek_buf[: x.size].reshape(x.shape)
+    ek[...] = e1
     for k in range(1, max_mode + 1):
         if k > 1:
             ek *= e1

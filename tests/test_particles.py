@@ -21,6 +21,11 @@ from dklab import (
 )
 from oracles import wrapped_gaussian_cdf
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 
 def stream_normals(seed, replicate, n, count):
     """The first count normals of the streams (seed, replicate * 2**32 + i),
@@ -204,16 +209,30 @@ class TestEnsembleChunks:
     PHI = FourierFunction.from_modes(mean=0.2, cos={1: 0.6}, sin={3: 0.4})
 
     def test_threads_and_budget_do_not_change_results(self, monkeypatch):
+        # each worker reuses one set of buffers for all its chunks, so a
+        # chunk shorter than the one before it must not read stale values
         args = (EmpiricalMeasure([0.1, 0.5, 0.7]), 3, self.PHI, 0.03, 40, 3000, 2**63 + 77)
         monkeypatch.setenv("DKLAB_THREADS", "1")
         m1, qv1, _ = martingale_ensemble(*args)
-        monkeypatch.setenv("DKLAB_THREADS", "2")
-        m2, qv2, _ = martingale_ensemble(*args)
-        assert np.array_equal(m1, m2) and np.array_equal(qv1, qv2)
-        for budget in (7 * 41 * 3 * 8, 1):  # 7 replicates per chunk, then 1
-            monkeypatch.setattr(particles, "_CHUNK_BYTES", budget)
-            m3, qv3, _ = martingale_ensemble(*args)
-            assert np.array_equal(m1, m3) and np.array_equal(qv1, qv3)
+        # 499 replicates per chunk leave a last chunk of 6; 7 leave one of 4
+        for budget in (None, 499 * 41 * 3 * 8, 7 * 41 * 3 * 8, 1):
+            if budget is not None:
+                monkeypatch.setattr(particles, "_CHUNK_BYTES", budget)
+            for threads in ("1", "2", "3"):
+                if budget == 1 and threads != "2":
+                    continue  # 3000 one-replicate chunks: one thread count is enough
+                monkeypatch.setenv("DKLAB_THREADS", threads)
+                m2, qv2, _ = martingale_ensemble(*args)
+                assert np.array_equal(m1, m2) and np.array_equal(qv1, qv2)
+
+    def test_paths_into_a_poisoned_buffer(self):
+        mu0 = EmpiricalMeasure([0.1, 0.5, 0.7])
+        want = particles._paths(mu0, 0.3, 40, 2**63 + 77, 5, 12)
+        buffer = np.full(want.size + 100, np.nan)
+        got = particles._paths(mu0, 0.3, 40, 2**63 + 77, 5, 12, out=buffer)
+        assert np.shares_memory(got, buffer)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(buffer[want.size :]).all()
 
     def test_every_chunk_within_budget(self, monkeypatch):
         spans = []
@@ -250,6 +269,25 @@ class TestEnsembleChunks:
         small, large = peak(2000), peak(20000)
         outputs = 2 * 8 * (20000 - 2000)  # m_final and qv_final
         assert large - small <= outputs + 64 * 1024
+
+    @pytest.mark.skipif(
+        not hasattr(resource, "RUSAGE_THREAD"), reason="needs per-thread rusage (Linux)"
+    )
+    def test_page_faults_do_not_grow_with_replicates(self):
+        # one thread, so every chunk runs in this thread: a worker that
+        # allocated fresh arrays for each chunk would fault them in afresh
+        # (about 7.5 faults a path here), while one set of buffers per call
+        # is faulted in once
+        mu0 = EmpiricalMeasure(np.arange(5) / 5)
+
+        def faults(replicates):
+            before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+            martingale_ensemble(mu0, 5, self.PHI, 0.02, 200, replicates, 9, 1)
+            return resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+
+        faults(10)  # first-call allocations are not chunk memory
+        small, large = faults(2000), faults(10000)
+        assert large <= 2 * small + 4000, (small, large)
 
 
 class TestQvStatistic:

@@ -100,6 +100,15 @@ def test_normals_match_fresh_streams():
         for sid, row in zip(ids.tolist(), want):
             fresh = RngStream(321, sid).generator.standard_normal(count)
             assert np.array_equal(bits(fresh), bits(row))
+    # the rows _paths hands _fill_normals: the [:, 1:] column slice of a
+    # C-ordered (R * n, steps + 1) array, which fixes the count by itself
+    seed, steps = 2**63 + 321, 200
+    keys = replicate_stream_ids(4, 3, 2**31 + 5).ravel()  # every key >= 2**63
+    assert (keys >= 2**63).all()
+    x = np.full((keys.size, steps + 1), np.nan)
+    rng._fill_normals(seed, keys, x[:, 1:])
+    assert np.isnan(x[:, 0]).all()
+    assert np.array_equal(bits(x[:, 1:]), bits(reference_normals(seed, keys, steps)))
 
 
 def test_stream_keys_at_and_above_two_to_the_63():
