@@ -4,8 +4,10 @@ Subcommands: duality, martingale, pgf, breakdown, vhj-check, replay.
 Each run writes a comma-separated results table (one fixed column schema
 per experiment, documented in docs/results_schema.md) and a structured-text
 manifest sufficient to reproduce the table byte for byte.  Exit codes:
-0 pass, 1 usage/config error (or a request too large for memory),
-2 statistical failure, 3 I/O failure.
+0 pass, 1 usage/config error (a request too large for memory, or a
+statistic that is not finite, is refused the same way), 2 statistical
+failure (a degenerate cell, its standard error down to round-off, scores
+z = 0 if it matches its target to 1e-9, else inf), 3 I/O failure.
 
 The config schema is written once, as the fields of RunConfig: the
 flags, the config-file keys, their defaults and the manifest's config
@@ -42,9 +44,6 @@ from .rng import derive_seed
 from .spde import negativity_ensemble, stability_limit
 from .torus import FourierFunction, TorusDomain, random_fourier_suite
 from .vhj import check_extremum_principles, check_gradient_estimate, cole_hopf, vhj_residual
-
-EXPERIMENTS = ("duality", "martingale", "pgf", "breakdown", "vhj-check")
-
 
 class UsageError(Exception):
     pass
@@ -247,7 +246,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiments: each _run_* returns (header, rows, verdicts, stream seeds,
+# whether every statistical check passed)
 # ---------------------------------------------------------------------------
 
 
@@ -278,7 +278,7 @@ def _run_duality(cfg: RunConfig):
              rep.mc_stderr, rep.rhs, rep.z_score, rep.verdict]
         )
         verdicts.append(rep.verdict_str)
-    return header, rows, verdicts, seeds
+    return header, rows, verdicts, seeds, all(v == "pass" for v in verdicts)
 
 
 def _run_martingale(cfg: RunConfig):
@@ -299,7 +299,7 @@ def _run_martingale(cfg: RunConfig):
              rep.mean_m2, rep.mean_qv, rep.se_diff, rep.z_qv, rep.passed]
         )
         verdicts.append("pass" if rep.passed else "fail")
-    return header, rows, verdicts, seeds
+    return header, rows, verdicts, seeds, all(v == "pass" for v in verdicts)
 
 
 def _run_pgf(cfg: RunConfig):
@@ -315,7 +315,7 @@ def _run_pgf(cfg: RunConfig):
     rows.append(["verdict", "", "", "", f"{report.verdict}: {report.detail}"])
     verdicts = [report.verdict]
     seeds = []
-    statistical_ok = True
+    ok = True
     if float(cfg.alpha).is_integer() and mu0.n == int(cfg.alpha):
         mc_seed = derive_seed(cfg.seed, 2000)
         seeds.append(mc_seed)
@@ -325,8 +325,7 @@ def _run_pgf(cfg: RunConfig):
         ok = pvalue > 0.001
         rows.append(["chi-square", "", stat, pvalue, "pass" if ok else "fail"])
         verdicts.append("pass" if ok else "fail")
-        statistical_ok = ok
-    return header, rows, verdicts, seeds, statistical_ok
+    return header, rows, verdicts, seeds, ok
 
 
 def _run_breakdown(cfg: RunConfig):
@@ -347,7 +346,7 @@ def _run_breakdown(cfg: RunConfig):
          f"{rep.hits}/{rep.seeds} hit within {cfg.max_steps} steps at dt={dt!r}; "
          "artifact-calibrated statistic; no convergence claim"]
     )
-    return header, rows, [f"{rep.hits}/{rep.seeds}"], []
+    return header, rows, [f"{rep.hits}/{rep.seeds}"], [], True
 
 
 def _run_vhj_check(cfg: RunConfig):
@@ -362,7 +361,7 @@ def _run_vhj_check(cfg: RunConfig):
     rows.append(["residual-order", "", min(res.observed_orders), 1.9, order_ok])
     verdicts.append("pass" if order_ok else "fail")
 
-    suite = random_fourier_suite(cfg.seed, cfg.suite, nonnegative=False)
+    suite = random_fourier_suite(cfg.seed, cfg.suite)
     ext_ok = grad_ok = True
     for f in suite:
         field_ = cole_hopf(dom, f, cfg.alpha, cfg.t)
@@ -372,7 +371,12 @@ def _run_vhj_check(cfg: RunConfig):
     rows.append(["extremum-principles", f"{cfg.suite} functions", "", "1e-12 slack", ext_ok])
     rows.append(["gradient-estimate", f"{cfg.suite} functions", "", "1e-8 slack", grad_ok])
     verdicts.extend(["pass" if ext_ok else "fail", "pass" if grad_ok else "fail"])
-    return header, rows, verdicts, []
+    return header, rows, verdicts, [], order_ok and ext_ok and grad_ok
+
+
+_RUNNERS = {"duality": _run_duality, "martingale": _run_martingale, "pgf": _run_pgf,
+            "breakdown": _run_breakdown, "vhj-check": _run_vhj_check}
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +431,9 @@ def run(cfg: RunConfig) -> int:
     """Execute one experiment; returns the exit code."""
     start = time.perf_counter()
     threads = thread_count()
-    statistical_ok = True
-    if cfg.experiment == "duality":
-        header, rows, verdicts, seeds = _run_duality(cfg)
-        statistical_ok = all(v == "pass" for v in verdicts)
-    elif cfg.experiment == "martingale":
-        header, rows, verdicts, seeds = _run_martingale(cfg)
-        statistical_ok = all(v == "pass" for v in verdicts)
-    elif cfg.experiment == "pgf":
-        header, rows, verdicts, seeds, statistical_ok = _run_pgf(cfg)
-    elif cfg.experiment == "breakdown":
-        header, rows, verdicts, seeds = _run_breakdown(cfg)
-    elif cfg.experiment == "vhj-check":
-        header, rows, verdicts, seeds = _run_vhj_check(cfg)
-        statistical_ok = all(v == "pass" for v in verdicts)
-    else:
+    if cfg.experiment not in _RUNNERS:
         raise UsageError(f"unknown experiment {cfg.experiment!r}")
+    header, rows, verdicts, seeds, statistical_ok = _RUNNERS[cfg.experiment](cfg)
 
     try:
         blob = _write_csv(cfg.out, header, rows)

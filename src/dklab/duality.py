@@ -19,25 +19,19 @@ pairs.  This touches only the estimator variance, never the particle law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import EmpiricalMeasure, require_integer_alpha, standard_increments
+from .particles import EmpiricalMeasure, require_integer_alpha, standard_increments, z_score
 from .rng import derive_seed
 from .torus import FourierFunction, TorusDomain, wrap
 from .vhj import cole_hopf
 
-_DEGENERATE_ATOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DualityReport:
-    """One duality cell: Monte Carlo mean vs Cole-Hopf right-hand side.
-
-    The initial measure and test function ride along for provenance but
-    are excluded from equality (reports compare on the numeric payload).
-    """
+    """One duality cell: Monte Carlo mean vs Cole-Hopf right-hand side."""
 
     alpha: int
     t: float
@@ -49,8 +43,6 @@ class DualityReport:
     rhs: float
     z_score: float
     verdict: bool
-    mu0: EmpiricalMeasure = field(default=None, compare=False, repr=False)
-    f: FourierFunction = field(default=None, compare=False, repr=False)
 
     @property
     def verdict_str(self) -> str:
@@ -93,6 +85,8 @@ def run_duality_test(
         Number of sampled replicates; must be even when antithetic.
     seed : int
         Stream seed; replicate r, particle i uses stream r * 2**32 + i.
+
+    Scored by particles.z_score: a non-finite cell raises ValueError.
     """
     n = require_integer_alpha(alpha, mu0.n)
     dom = dom or TorusDomain(256)
@@ -111,13 +105,7 @@ def run_duality_test(
         values = np.exp(-f.evaluate(wrap(mu0.positions[None, :] + sigma * xi)).mean(axis=1))
     mc_mean = float(np.mean(values))
     mc_stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    # degenerate cells (t = 0 or constant f) leave only summation round-off
-    # in the spread; fall back to an absolute comparison there
-    degenerate = mc_stderr <= 64 * np.finfo(float).eps * max(abs(mc_mean), 1e-300)
-    if not degenerate:
-        z = (mc_mean - rhs) / mc_stderr
-    else:
-        z = 0.0 if abs(mc_mean - rhs) <= _DEGENERATE_ATOL * max(1.0, abs(rhs)) else np.inf
+    z = z_score("z", mc_mean, rhs, mc_stderr)
     return DualityReport(
         alpha=n,
         t=float(t),
@@ -129,8 +117,6 @@ def run_duality_test(
         rhs=rhs,
         z_score=float(z),
         verdict=bool(abs(z) <= 3.0),
-        mu0=mu0,
-        f=f,
     )
 
 
@@ -155,20 +141,18 @@ def sweep(
     replicates: int,
     seed: int,
     dom: TorusDomain | None = None,
-    mu0_for=None,
     antithetic: bool = True,
 ) -> list[DualityReport]:
     """Run the duality test over the full (alpha, t, f) grid.
 
     Each cell draws from an independent sub-seed derived from (seed, cell
     index), so the sweep is reproducible cell by cell and in total.
-    mu0_for(alpha) supplies initial atoms (defaults to equally spaced).
+    Each alpha starts from alpha equally spaced atoms.
     """
-    mu0_for = mu0_for or equally_spaced_atoms
     reports = []
     cell = 0
     for alpha in alphas:
-        mu0 = mu0_for(alpha)
+        mu0 = equally_spaced_atoms(alpha)
         for t in times:
             for f_id, f in f_suite:
                 reports.append(

@@ -34,6 +34,7 @@ once rather than once a chunk.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -57,6 +58,8 @@ from .torus import (
 # L2 cache, and a worker's arena, which holds all three, at about
 # 5 * _CHUNK_BYTES
 _CHUNK_BYTES = 1 << 19
+
+_DEGENERATE_ATOL = 1e-9
 
 
 def require_integer_alpha(alpha, n_atoms: int) -> int:
@@ -257,28 +260,36 @@ class QvReport:
         return abs(self.z_mean) <= 3.0 and abs(self.z_qv) <= 3.0
 
 
-def qv_statistic(samples, t_index: int = -1) -> QvReport:
-    """Reduce an ensemble of MartingaleSample (or raw (m, qv) arrays).
+def z_score(name: str, estimate: float, target: float, stderr: float) -> float:
+    """(estimate - target) / stderr, the score every 3-sigma verdict reads.
+
+    A non-finite input raises ValueError naming the statistic.  In a
+    degenerate cell (t = 0, a constant test function) stderr <= 64 eps
+    |estimate| is summation round-off, and the score is 0 if
+    |estimate - target| <= 1e-9 max(1, |target|), inf otherwise.
+    """
+    if not all(math.isfinite(v) for v in (estimate, target, stderr)):
+        raise ValueError(f"{name}: not finite (estimate {estimate!r}, target {target!r}, "
+                         f"standard error {stderr!r}); no verdict is drawn from it")
+    if stderr > 64 * np.finfo(float).eps * max(abs(estimate), 1e-300):
+        return float((estimate - target) / stderr)
+    return 0.0 if abs(estimate - target) <= _DEGENERATE_ATOL * max(1.0, abs(target)) else math.inf
+
+
+def qv_statistic(ensemble: tuple[np.ndarray, np.ndarray, float]) -> QvReport:
+    """Reduce the (m_final, qv_final, t) ensemble that martingale_ensemble returns.
 
     The QV z-score uses the paired per-replicate differences
     M_t^2 - qv_t, which is the correct standard error for testing that
-    their common mean gap is zero.  Raises ValueError for fewer than 100
-    replicates or for any non-finite M_t or qv_t.
+    their common mean gap is zero; both scores follow z_score.  Raises
+    ValueError for fewer than 100 replicates, for any non-finite M_t or
+    qv_t, and for a mean, standard error or score that is not finite (at
+    large t, M_t^2 overflows although M_t does not).
     """
-    if isinstance(samples, tuple):
-        m_final, qv_final, t = samples
-    else:
-        samples = list(samples)
-        if not samples:
-            raise ValueError("empty ensemble")
-        m_final = np.array([s.m_values[t_index] for s in samples])
-        qv_final = np.array([s.qv_integral[t_index] for s in samples])
-        t = float(samples[0].times[t_index])
+    m_final, qv_final, t = ensemble
     r = m_final.size
     if r < 100:
         raise ValueError(f"need at least 100 replicates, got {r}")
-    # a NaN standard error would read as z = 0 below, so a non-finite
-    # ensemble would pass
     if not (np.all(np.isfinite(m_final)) and np.all(np.isfinite(qv_final))):
         raise ValueError("the ensemble holds non-finite M_t or qv_t values")
     se = lambda x: float(np.std(x, ddof=1) / np.sqrt(x.size))  # noqa: E731
@@ -286,16 +297,21 @@ def qv_statistic(samples, t_index: int = -1) -> QvReport:
     se_m = se(m_final)
     diff = m_final**2 - qv_final
     se_d = se(diff)
+    mean_m2 = float(np.mean(m_final**2))
+    mean_qv = float(np.mean(qv_final))
+    for name, value in (("mean_m2", mean_m2), ("mean_qv", mean_qv)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: not finite ({value!r}); no verdict is drawn from it")
     return QvReport(
         t=float(t),
         replicates=r,
         mean_m=mean_m,
         se_m=se_m,
-        z_mean=mean_m / se_m if se_m > 0 else 0.0,
-        mean_m2=float(np.mean(m_final**2)),
-        mean_qv=float(np.mean(qv_final)),
+        z_mean=z_score("z_mean", mean_m, 0.0, se_m),
+        mean_m2=mean_m2,
+        mean_qv=mean_qv,
         se_diff=se_d,
-        z_qv=float(np.mean(diff) / se_d) if se_d > 0 else 0.0,
+        z_qv=z_score("z_qv", float(np.mean(diff)), 0.0, se_d),
     )
 
 

@@ -45,6 +45,10 @@ from .torus import FourierFunction, TorusDomain, heat_semigroup
 
 _FLOOR_EPS = 8 * np.finfo(float).eps  # per-term bound: g itself is good to ~2 eps
 _DIVERGENCE_SIGNAL = 64.0  # raw estimates must clear the floor by this factor
+_LEVELS = 52  # levels of the limit route's geometric grid
+_NEVILLE_DEPTH = 6  # Richardson depth across levels
+_RTOL = 1e-7  # stabilization tolerance on consecutive accelerated estimates
+_ZERO_TOL = 1e-6  # largest round-off bound that certifies a floor-limited p_k as zero
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +118,11 @@ def occupation(
     """Build h = P_t 1_A for A a finite union of intervals.
 
     Intervals are (a, b) with 0 <= a < b <= 1, pairwise disjoint; their
-    union must be nonempty and proper so that 0 < h < 1 for t > 0.
+    union must be nonempty and proper so that 0 < h < 1 for t > 0.  t must
+    be positive and finite.
     """
-    if t <= 0:
-        raise ValueError("occupation time t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError(f"occupation time t must be positive and finite, got {t}")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     ivs = sorted((float(a), float(b)) for a, b in intervals)
@@ -340,10 +345,6 @@ def extract_coefficients_limit(
     g,
     order: int,
     s0: float = 0.5,
-    levels: int = 52,
-    neville_depth: int = 6,
-    rtol: float = 1e-7,
-    zero_tol: float = 1e-6,
 ) -> PgfExpansion:
     """Coefficient extraction from a black-box evaluator on a geometric grid.
 
@@ -353,16 +354,10 @@ def extract_coefficients_limit(
         Generating-function evaluator, defined at least on (0, s0].
     order : int
         Highest coefficient requested.
-    s0, levels : float, int
-        Geometric grid s_j = s0 * 2^-j, j = 0..levels-1 (plus `order`
-        extra nodes for the deepest windows).
-    neville_depth : int
-        Maximum Richardson depth applied across levels.
-    rtol : float
-        Stabilization tolerance on consecutive accelerated estimates.
-    zero_tol : float
-        Largest round-off bound under which a floor-limited coefficient is
-        certified as zero; anything looser aborts.
+    s0 : float
+        Geometric grid s_j = s0 * 2^-j, j = 0.._LEVELS-1 (plus `order`
+        extra nodes for the deepest windows).  _NEVILLE_DEPTH, _RTOL and
+        _ZERO_TOL fix the acceleration and the three criteria.
 
     Raises
     ------
@@ -374,16 +369,14 @@ def extract_coefficients_limit(
         raise ValueError(
             f"order {order} exceeds the conditioning budget ({MAX_SERIES_ORDER})"
         )
-    s = s0 * 0.5 ** np.arange(levels + order + 1)
+    s = s0 * 0.5 ** np.arange(_LEVELS + order + 1)
     gv = [float(g(x)) for x in s]
 
     coeffs: list[float] = []
     uncs: list[float] = []
     divergence = None
     for n in range(order + 1):
-        value, unc, div = _extract_order(
-            n, gv, s, levels, neville_depth, rtol, zero_tol
-        )
+        value, unc, div = _extract_order(n, gv, s)
         if div is not None:
             divergence = (n, div)
             break
@@ -400,7 +393,7 @@ def extract_coefficients_limit(
     )
 
 
-def _extract_order(n, gv, s, levels, depth, rtol, zero_tol):
+def _extract_order(n, gv, s):
     """One order of the limit scheme; returns (value, uncertainty, divergence).
 
     Streams levels coarse to fine.  Stabilization is checked on the
@@ -419,7 +412,7 @@ def _extract_order(n, gv, s, levels, depth, rtol, zero_tol):
     accel: list[float] = []
     prev_row: list[float] = []
     floor_stop = None
-    for j in range(levels):
+    for j in range(_LEVELS):
         dd, floor = _divided_difference(gv, s, j, n)
         if abs(dd) <= floor:
             floor_stop = floor
@@ -427,21 +420,21 @@ def _extract_order(n, gv, s, levels, depth, rtol, zero_tol):
         raw.append(dd)
         floors.append(floor)
         row = [dd]
-        for m in range(1, min(len(prev_row) + 1, depth + 1)):
+        for m in range(1, min(len(prev_row) + 1, _NEVILLE_DEPTH + 1)):
             row.append(row[m - 1] + (row[m - 1] - prev_row[m - 1]) / (2.0**m - 1.0))
         prev_row = row
         accel.append(row[-1])
         if len(accel) >= 3:
             scale = max(abs(accel[-1]), abs(accel[-2]), 1e-12)
             noise = noise_amp * floor
-            tol = max(rtol * scale, noise)
+            tol = max(_RTOL * scale, noise)
             converged = (
                 abs(accel[-1] - accel[-2]) <= tol
                 and abs(accel[-2] - accel[-3]) <= tol
             )
             if converged:
-                if noise <= rtol * scale:
-                    return accel[-1], rtol * scale, None
+                if noise <= _RTOL * scale:
+                    return accel[-1], _RTOL * scale, None
                 if noise <= noise_cap * max(1.0, abs(accel[-1])):
                     return accel[-1], noise, None
                 # stalled at an unusably coarse noise level: keep streaming,
@@ -449,7 +442,7 @@ def _extract_order(n, gv, s, levels, depth, rtol, zero_tol):
 
     # stream ended without stabilizing
     if not raw:
-        if floor_stop is not None and floor_stop <= zero_tol:
+        if floor_stop is not None and floor_stop <= _ZERO_TOL:
             return 0.0, floor_stop, None
         raise PrecisionLossError(
             n, 0, floor_stop or 0.0, "first level already below the round-off floor"
@@ -474,7 +467,7 @@ def _extract_order(n, gv, s, levels, depth, rtol, zero_tol):
         # certifiable only if the noise bound is tight enough to matter
         spread = abs(raw[-1] - raw[-2]) if len(raw) >= 2 else 0.0
         bound = noise_amp * floor_stop + spread
-        if abs(raw[-1]) <= noise_amp * floor_stop and bound <= max(zero_tol, noise_cap):
+        if abs(raw[-1]) <= noise_amp * floor_stop and bound <= max(_ZERO_TOL, noise_cap):
             return 0.0, bound, None
     raise PrecisionLossError(
         n,
@@ -641,21 +634,19 @@ def mass_slope_probe(
     coverage: float,
     t: float,
     dom: TorusDomain | None = None,
-    window: tuple[float, float] = (0.3, 1.0),
-    points: int = 12,
 ) -> float:
     """Fitted log-log slope of g for A covering the given fraction.
 
     As A grows to the whole space, h tends to 1 and g(s) to s^alpha, so the
     fitted slope tends to alpha.  Because h < 1 strictly, the true slope
     decays to 0 as s -> 0+, so the fit window must keep s well above
-    1 - h; the default window does for coverages up to 0.99.  Initial mass
-    is uniform.
+    1 - h; the window, 12 log-spaced points on [0.3, 1], does for
+    coverages up to 0.99.  Initial mass is uniform.
     """
     dom = dom or TorusDomain(256)
     gap = 1.0 - coverage
     occ = occupation(dom, [(gap / 2, 1.0 - gap / 2)], t, alpha)
     g = build_g(alpha, FourierFunction.constant(1.0), occ)
-    svals = np.exp(np.linspace(np.log(window[0]), np.log(window[1]), points))
+    svals = np.exp(np.linspace(np.log(0.3), np.log(1.0), 12))
     slope = np.polyfit(np.log(svals), np.log([g(x) for x in svals]), 1)[0]
     return float(slope)

@@ -160,10 +160,6 @@ class BreakdownReport:
     hit_records: list[tuple[int, int] | None]  # (step, cell) per member
 
     @property
-    def hit_steps(self) -> list[int | None]:
-        return [rec[0] if rec is not None else None for rec in self.hit_records]
-
-    @property
     def hits(self) -> int:
         return sum(1 for rec in self.hit_records if rec is not None)
 
@@ -180,16 +176,15 @@ def negativity_ensemble(
     seeds: int,
     max_steps: int,
     seed: int,
-    initial: float = 1.0,
     noise_scale: float = 1.0,
     threads: int | None = None,
 ) -> BreakdownReport:
-    """first_negativity across an ensemble of member streams."""
+    """first_negativity from density 1 for each member r, on stream (seed, r * 2**32)."""
     hits: list[tuple[int, int] | None] = [None] * seeds
 
     def member(lo, hi):
         for r in range(lo, hi):
-            fld = make_field(dom, initial, dt, alpha)
+            fld = make_field(dom, 1.0, dt, alpha)
             hits[r] = first_negativity(
                 fld, alpha, max_steps, RngStream(seed, r * REPLICATE_STRIDE), noise_scale
             )

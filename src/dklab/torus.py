@@ -39,10 +39,9 @@ class TorusDomain:
     def dx(self) -> float:
         return 1.0 / self.grid_size
 
-    def grid(self, oversample: int = 1) -> np.ndarray:
-        """Grid points j/(oversample*N), j = 0..oversample*N-1."""
-        n = self.grid_size * oversample
-        return np.arange(n) / n
+    def grid(self) -> np.ndarray:
+        """Grid points j/N, j = 0..N-1."""
+        return np.arange(self.grid_size) / self.grid_size
 
     @property
     def max_mode(self) -> int:
@@ -375,29 +374,17 @@ def carre_du_champ(f: FourierFunction, g: FourierFunction | None = None) -> Four
     return product(f.derivative(), g.derivative())
 
 
-def random_fourier_suite(
-    seed: int,
-    count: int,
-    max_mode: int = 3,
-    amplitude: float = 0.5,
-    nonnegative: bool = False,
-) -> list[FourierFunction]:
+def random_fourier_suite(seed: int, count: int, max_mode: int = 3) -> list[FourierFunction]:
     """Deterministic suite of random low-mode test functions.
 
-    Coefficients decay like 1/k so the functions stay tame; with
-    nonnegative=True the mean is lifted until min f >= amplitude/10.
+    The mean is uniform on [-1, 1] and the mode-k coefficients uniform on
+    [-0.5/k, 0.5/k], so the functions stay tame.
     """
     rng = np.random.Generator(np.random.Philox(key=(seed, 0xF0F0)))
     out = []
     for _ in range(count):
         k = np.arange(1, max_mode + 1)
-        a = amplitude * rng.uniform(-1, 1, max_mode) / k
-        b = amplitude * rng.uniform(-1, 1, max_mode) / k
-        f = FourierFunction(rng.uniform(-1, 1), a, b)
-        if nonnegative:
-            lo, _ = f.extrema()
-            floor = amplitude / 10.0
-            if lo < floor:
-                f = FourierFunction(f.mean + (floor - lo), f.cos_coeffs, f.sin_coeffs)
-        out.append(f)
+        a = 0.5 * rng.uniform(-1, 1, max_mode) / k
+        b = 0.5 * rng.uniform(-1, 1, max_mode) / k
+        out.append(FourierFunction(rng.uniform(-1, 1), a, b))
     return out

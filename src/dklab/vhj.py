@@ -160,7 +160,9 @@ def vhj_residual(
     For each level the residual is measured from the field triple
     (t - dt, t, t + dt); the spatial terms carry no discretization error,
     so the residual is the centered-difference error and should shrink at
-    second order.
+    second order.  A residual that is not finite (at t so large that
+    t + dt == t) raises ArithmeticError; one that is exactly zero, the
+    round-off floor, gives order inf.
     """
     if num_levels < 2:
         raise ValueError("need at least 2 refinement levels to observe an order")
@@ -168,7 +170,10 @@ def vhj_residual(
     for j in range(num_levels):
         dt = dt0 / 2**j
         triple = [cole_hopf(dom, f, alpha, t + k * dt) for k in (-1, 0, 1)]
-        levels.append(ResidualLevel(dt=dt, residual_sup=residual_from_fields(triple)))
+        residual = residual_from_fields(triple)
+        if not np.isfinite(residual):
+            raise ArithmeticError(f"vhj residual is {residual} at t = {t}, dt = {dt}")
+        levels.append(ResidualLevel(dt=dt, residual_sup=residual))
     orders = []
     for a, b in zip(levels, levels[1:]):
         if b.residual_sup > 0.0:

@@ -205,6 +205,49 @@ class TestRefusals:
         assert res.stdout.strip() == "False"
 
 
+# requests whose statistics are not finite: no verdict may be drawn from them
+NON_FINITE = {
+    "martingale-t-1e200": ["martingale", "--alpha", "1", "--t", "1e200", "--replicates", "2000",
+                           "--num-steps", "20"],
+    "vhj-check-t-1e30": ["vhj-check", "--alpha", "1", "--t", "1e30", "--suite", "2"],
+    "pgf-t-inf": ["pgf", "--alpha", "1.5", "--t", "inf"],
+    "duality-t-nan": ["duality", "--alpha", "1", "--t", "nan", "--replicates", "200"],
+}
+
+
+class TestNonFiniteStatistics:
+    @pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_refused_with_exit_1_and_no_table(self, argv, tmp_path, capsys):
+        # numpy may warn on the way (M_t^2 overflows, t + dt == t); the
+        # verdict layer refuses the number that results
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run_cli(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("dklab: ") and "Traceback" not in captured.err
+        assert "pass" not in captured.out
+        assert not out.exists()
+
+    def test_duality_nan_names_z_without_a_warning(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(NON_FINITE["duality-t-nan"] + ["--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert not caught
+        assert capsys.readouterr().err.startswith("dklab: z: not finite")
+
+    def test_martingale_at_t_zero_passes_with_z_zero(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert run_cli(["martingale", "--alpha", "1", "--t", "0", "--replicates", "200",
+                        "--num-steps", "20", "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert (cells["z_mean"], cells["z_qv"], cells["verdict"]) == ("0.0", "0.0", "pass")
+
+
 class TestReproducibility:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

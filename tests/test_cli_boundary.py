@@ -214,6 +214,56 @@ def test_any_manifest_replays_with_a_documented_code(experiment, edits):
 
 
 # --------------------------------------------------------------------------
+# no verdict from a number that is not finite
+# --------------------------------------------------------------------------
+
+# t log-uniform on [1e-6, 1e308], plus inf and nan
+TIMES = st.one_of(
+    st.floats(math.log(1e-6), math.log(1e308)).map(math.exp),
+    st.sampled_from([math.inf, math.nan]),
+)
+# cells that must be finite in a table that exits 0
+FINITE_COLUMNS = {"mc_mean", "mc_stderr", "rhs", "z", "mean_m", "se_m", "z_mean", "mean_m2",
+                  "mean_qv", "se_diff", "z_qv"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sub=st.sampled_from(["duality", "martingale", "pgf", "vhj-check"]),
+    alpha=st.sampled_from(["1", "2", "3", "1.5"]),
+    t=TIMES,
+)
+@example(sub="martingale", alpha="1", t=1e200)
+@example(sub="vhj-check", alpha="1", t=1e30)
+@example(sub="vhj-check", alpha="1", t=1e12)
+@example(sub="pgf", alpha="1.5", t=math.inf)
+@example(sub="duality", alpha="1", t=math.nan)
+def test_no_verdict_from_a_non_finite_statistic(sub, alpha, t):
+    if sub in ("duality", "martingale") and alpha == "1.5":
+        alpha = "2"  # the particle construction needs an integer alpha
+    with _in_tmp_dir():
+        code, _, err, _, _ = _main_outcome([sub, "--alpha", alpha, "--t", repr(t)] + CHEAP)
+        if code == 0:
+            with open("r.csv") as fh:
+                table = fh.read()
+    event(f"{sub}: exit {code}")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code != 0:
+        return
+    assert "nan" not in table
+    header, *rows = [line.split(",") for line in table.splitlines()]
+    for row in rows:
+        for column, cell in zip(header, row):
+            if column in FINITE_COLUMNS:
+                assert math.isfinite(float(cell)), (column, row)
+    residuals = [float(row[2]) for row in rows if row[0] == "residual"]
+    assert all(map(math.isfinite, residuals)), rows
+    if math.inf in [float(row[2]) for row in rows if row[0] == "residual-order"]:
+        assert residuals == [0.0] * len(residuals), rows  # the round-off floor
+
+
+# --------------------------------------------------------------------------
 # manifests echo their config exactly
 # --------------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Particle construction, martingale functional and QV statistics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from dklab import (
     terminal_ensemble,
     wrap,
 )
+from dklab.particles import z_score
 from oracles import wrapped_gaussian_cdf
 
 try:
@@ -320,3 +322,39 @@ class TestQvStatistic:
         r1 = qv_statistic(martingale_ensemble(mu0, 1, phi, 0.02, 100, 2000, seed=36))
         r2 = qv_statistic(martingale_ensemble(mu0, 1, phi, 0.04, 200, 2000, seed=36))
         assert r2.mean_qv > r1.mean_qv
+
+
+class TestZScore:
+    def test_regular_score(self):
+        assert z_score("z", 1.5, 1.0, 0.25) == 2.0
+        assert z_score("z", 0.5, 1.0, 0.25) == -2.0
+
+    def test_degenerate_cell_scores_zero_or_inf(self):
+        # stderr at or below summation round-off: an absolute comparison
+        assert z_score("z", 0.5, 0.5, 0.0) == 0.0
+        assert z_score("z_mean", 0.0, 0.0, 0.0) == 0.0
+        assert z_score("z", 0.5, 0.5 + 1e-12, 1e-20) == 0.0
+        assert z_score("z", 1e6, 1e6 + 1e-4, 0.0) == 0.0  # 1e-9 relative to |target|
+        assert z_score("z", 0.5, 0.6, 0.0) == math.inf
+        assert z_score("z", 1e6, 1e6 + 1e-2, 0.0) == math.inf
+        assert z_score("z", 0.5, 0.6, 1e-20) == math.inf
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_non_finite_input_refused(self, bad, slot):
+        args = [0.5, 0.4, 0.1]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="z_qv: not finite"):
+            z_score("z_qv", *args)
+
+    def test_qv_statistic_refuses_an_overflowed_square(self):
+        # every M_t finite, but M_t^2 overflows: no verdict, where the old
+        # guards read the inf standard error as z_mean = -0.0 and pass
+        m = np.linspace(-1e200, 1e200, 201)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                qv_statistic((m, np.ones(201), 1e200))
+
+    def test_zero_ensemble_scores_zero(self):
+        rep = qv_statistic((np.zeros(200), np.zeros(200), 0.0))
+        assert (rep.z_mean, rep.z_qv, rep.passed) == (0.0, 0.0, True)

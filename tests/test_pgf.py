@@ -66,6 +66,11 @@ class TestOccupation:
         with pytest.raises(ValueError, match="positive"):
             occupation(dom, [(0.2, 0.4)], t=0.0, alpha=1)
 
+    @pytest.mark.parametrize("t", [-1.0, np.inf, np.nan])
+    def test_time_must_be_positive_and_finite(self, dom, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            occupation(dom, [(0.2, 0.45)], t=t, alpha=1.5)
+
 
 class TestGeneratingFunction:
     def test_normalization_exact(self, occ_15):

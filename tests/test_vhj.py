@@ -104,6 +104,18 @@ class TestResidual:
         # at the first refinement the residual sits below 1e-4
         assert rep.levels[1].residual_sup <= 1e-4
 
+    def test_non_finite_residual_refused(self, dom):
+        # t + dt == t at t = 1e30: the centred difference is 0/0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(ArithmeticError, match="nan"):
+                vhj_residual(dom, bump(), 1.0, 1e30)
+
+    def test_exact_zero_residual_gives_order_inf(self, dom):
+        # the round-off floor: the flow is constant to the last bit
+        rep = vhj_residual(dom, FourierFunction.from_modes(mean=1.0, cos={1: 0.5}), 1.0, 1e12)
+        assert [lvl.residual_sup for lvl in rep.levels] == [0.0, 0.0, 0.0]
+        assert rep.observed_orders == [np.inf, np.inf]
+
 
 class TestExtremumPrinciples:
     def test_constant_equality(self, dom):
