@@ -30,7 +30,7 @@ print(f"  mode-1 cosine: {f.cos_coeffs[0]} -> {lf.cos_coeffs[0]:.6f}"
 
 print("\nHeat flow for time t multiplies mode k by exp(-(d/2)(2 pi k)^2 t):")
 for t in (0.01, 0.05, 0.1):
-    pt = heat_semigroup(dom, f, diffusivity=1.0, t=t)
+    pt = heat_semigroup(f, diffusivity=1.0, t=t)
     print(f"  t={t:5.2f}: mode-1 {pt.cos_coeffs[0]:.6f}, mode-2 {pt.sin_coeffs[1]:.8f},"
           f" mean {pt.mean} (mass conserved)")
 
@@ -45,6 +45,6 @@ print(f"  max |lhs - rhs| = {np.max(np.abs(lhs - rhs)):.2e}")
 
 print("\nGradient bound on flat space: Gamma(P_t f) <= P_t(Gamma f) pointwise:")
 t = 0.03
-lhs = carre_du_champ(heat_semigroup(dom, f, 1.0, t)).evaluate(x)
-rhs = heat_semigroup(dom, gf, 1.0, t).evaluate(x)
+lhs = carre_du_champ(heat_semigroup(f, 1.0, t)).evaluate(x)
+rhs = heat_semigroup(gf, 1.0, t).evaluate(x)
 print(f"  max violation = {np.max(lhs - rhs):.2e} (negative means strict)")

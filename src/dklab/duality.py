@@ -141,7 +141,6 @@ def sweep(
     replicates: int,
     seed: int,
     dom: TorusDomain | None = None,
-    antithetic: bool = True,
 ) -> list[DualityReport]:
     """Run the duality test over the full (alpha, t, f) grid.
 
@@ -164,7 +163,6 @@ def sweep(
                         replicates,
                         derive_seed(seed, cell),
                         dom=dom,
-                        antithetic=antithetic,
                         f_id=f_id,
                     )
                 )

@@ -125,7 +125,6 @@ class ParticlePath:
 class MartingaleSample:
     """M_t(phi) and the quadratic-variation integrand along one path."""
 
-    phi: FourierFunction
     times: np.ndarray
     m_values: np.ndarray
     qv_integral: np.ndarray
@@ -225,7 +224,7 @@ def martingale_functional(path: ParticlePath, phi: FourierFunction) -> Martingal
     pairing = phi.pair_moments(moments)
     m = pairing - pairing[0] - 0.5 * path.alpha * cumtrap(lphi.pair_moments(moments))
     qv = cumtrap(gphi.pair_moments(moments))
-    return MartingaleSample(phi=phi, times=path.times, m_values=m, qv_integral=qv)
+    return MartingaleSample(times=path.times, m_values=m, qv_integral=qv)
 
 
 def _moment_order(*fs: FourierFunction) -> int:

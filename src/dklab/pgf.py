@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .particles import EmpiricalMeasure, require_integer_alpha, terminal_ensemble
-from .torus import FourierFunction, TorusDomain, heat_semigroup
+from .torus import FourierFunction, TorusDomain, heat_semigroup, wrap
 
 _FLOOR_EPS = 8 * np.finfo(float).eps  # per-term bound: g itself is good to ~2 eps
 _DIVERGENCE_SIGNAL = 64.0  # raw estimates must clear the floor by this factor
@@ -83,7 +83,7 @@ class OccupationFunction:
 
     def contains(self, x) -> np.ndarray:
         """Exact membership of points in A (no mollification)."""
-        x = np.mod(np.asarray(x, dtype=float), 1.0)
+        x = wrap(np.asarray(x, dtype=float))
         inside = np.zeros(x.shape, dtype=bool)
         for a, b in self.intervals:
             inside |= (x >= a) & (x < b)
@@ -140,9 +140,8 @@ def occupation(
 
     cov = _cell_coverage(ivs, dom.grid_size)
     ind_hat = FourierFunction.from_grid(cov, max_mode=dom.max_mode)
-    h = heat_semigroup(dom, ind_hat, diffusivity=alpha, t=t)
-    h_ref = h.sample(dom, oversample=4)
-    h_max, h_min = float(h_ref.max()), float(h_ref.min())
+    h = heat_semigroup(ind_hat, diffusivity=alpha, t=t)
+    h_min, h_max = h.extrema(4 * dom.grid_size)
     if not (0.0 < h_min and h_max < 1.0):
         raise ArithmeticError(
             f"h escaped (0, 1): range [{h_min:.3e}, {h_max:.3e}]; "
@@ -198,7 +197,8 @@ def build_g(alpha: float, mu0, occ: OccupationFunction) -> GeneratingFunction:
 
     mu0 may be an EmpiricalMeasure (atoms, uniform weights) or a
     FourierFunction probability density (mean 1, nonnegative); densities
-    are integrated with the uniform grid rule of the occupation's domain.
+    are integrated with the uniform grid rule of the occupation's domain,
+    on the samples of mu0 and of h at its grid points.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -206,13 +206,12 @@ def build_g(alpha: float, mu0, occ: OccupationFunction) -> GeneratingFunction:
         h_at = occ.evaluate(mu0.positions)
         w = np.full(mu0.n, 1.0 / mu0.n)
     elif isinstance(mu0, FourierFunction):
-        x = occ.dom.grid()
-        dens = mu0.evaluate(x)
+        dens = mu0.sample(occ.dom)
         if np.any(dens < -1e-12):
             raise ValueError("density must be nonnegative")
         if abs(mu0.mean - 1.0) > 1e-12:
             raise ValueError("density must integrate to 1")
-        h_at = occ.evaluate(x)
+        h_at = occ.h_values
         w = dens / dens.size
     else:
         raise TypeError("mu0 must be an EmpiricalMeasure or a FourierFunction density")
@@ -232,7 +231,6 @@ class PgfExpansion:
     """Candidate atom probabilities p_k with extraction provenance."""
 
     coefficients: np.ndarray
-    method: str  # series-composition | limit-extraction | monte-carlo
     negativity_flag: int | None = None  # first k with p_k < -tol
     divergence_flag: tuple[int, str] | None = None  # (order, evidence)
     uncertainties: np.ndarray | None = None
@@ -288,7 +286,6 @@ def series_from_bernoulli(
     p = lead * b
     return PgfExpansion(
         coefficients=p,
-        method="series-composition",
         negativity_flag=_first_negative(p, NEGATIVITY_TOL),
         uncertainties=np.zeros(order + 1),
     )
@@ -386,7 +383,6 @@ def extract_coefficients_limit(
     u = np.array(uncs)
     return PgfExpansion(
         coefficients=p,
-        method="limit-extraction",
         negativity_flag=_first_negative(p, NEGATIVITY_TOL, u),
         divergence_flag=divergence,
         uncertainties=u,
@@ -493,8 +489,6 @@ VERDICT_MASS = "violates-total-mass"
 class AtomicityReport:
     verdict: str
     expansion: PgfExpansion
-    alpha: float
-    order: int
     detail: str
 
 
@@ -513,50 +507,64 @@ def atomicity_verdict(
     evidence; integer alpha with weight-1/alpha atoms passes all three.
     The taylor check can only fail on the limit route (the series route
     presupposes analyticity); pass method="limit" to exercise it.
+
+    Coefficients are extracted through max(order, floor(alpha)), so the
+    mass check sums only coefficients it has; floor(alpha) beyond
+    MAX_SERIES_ORDER raises ValueError.
     """
+    kmax = math.floor(alpha)
+    if kmax > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"alpha = {alpha}: the mass check needs p_0..p_floor(alpha), beyond "
+            f"the series budget ({MAX_SERIES_ORDER})"
+        )
+    order = max(order, kmax)
     if method == "series":
         exp = extract_coefficients_series(alpha, mu0, occ, order)
     elif method == "limit":
         exp = extract_coefficients_limit(build_g(alpha, mu0, occ), order)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return verdict_from_expansion(alpha, exp, order)
+    return verdict_from_expansion(alpha, exp)
 
 
-def verdict_from_expansion(
-    alpha: float, exp: PgfExpansion, order: int | None = None
-) -> AtomicityReport:
-    """Apply the consequence chain to an already extracted expansion."""
-    if order is None:
-        order = exp.coefficients.size - 1
+def verdict_from_expansion(alpha: float, exp: PgfExpansion) -> AtomicityReport:
+    """Apply the consequence chain to an already extracted expansion.
+
+    A coefficient or uncertainty that is not finite raises ArithmeticError
+    rather than deciding a verdict.  The mass link sums p_0..p_floor(alpha),
+    so an expansion that reaches it with fewer coefficients raises
+    ValueError.
+    """
+    unc = exp.uncertainties
+    if not np.all(np.isfinite(exp.coefficients)) or (
+        unc is not None and not np.all(np.isfinite(unc))
+    ):
+        raise ArithmeticError(
+            f"pgf coefficients are not finite at alpha = {alpha}: "
+            f"p = {exp.coefficients}, uncertainties = {unc}"
+        )
     if exp.negativity_flag is not None:
         k = exp.negativity_flag
         return AtomicityReport(
-            VERDICT_NEGATIVE,
-            exp,
-            alpha,
-            order,
-            f"p_{k} = {exp.coefficients[k]:.6e} < 0",
+            VERDICT_NEGATIVE, exp, f"p_{k} = {exp.coefficients[k]:.6e} < 0"
         )
     if exp.divergence_flag is not None:
         k, why = exp.divergence_flag
-        return AtomicityReport(
-            VERDICT_TAYLOR, exp, alpha, order, f"order {k}: {why}"
-        )
+        return AtomicityReport(VERDICT_TAYLOR, exp, f"order {k}: {why}")
     kmax = int(math.floor(alpha))
+    if exp.coefficients.size <= kmax:
+        raise ValueError(
+            f"the mass check needs p_0..p_{kmax}; the expansion has "
+            f"{exp.coefficients.size} coefficients"
+        )
     head = float(np.sum(exp.coefficients[: kmax + 1]))
     total = exp.total_mass()
     if abs(head - 1.0) > MASS_TOL or total > 1.0 + MASS_TOL:
         return AtomicityReport(
-            VERDICT_MASS,
-            exp,
-            alpha,
-            order,
-            f"sum_(k<={kmax}) p_k = {head:.12f}; total {total:.12f}",
+            VERDICT_MASS, exp, f"sum_(k<={kmax}) p_k = {head:.12f}; total {total:.12f}"
         )
-    return AtomicityReport(
-        VERDICT_CONSISTENT, exp, alpha, order, f"sum_(k<={kmax}) p_k = {head:.12f}"
-    )
+    return AtomicityReport(VERDICT_CONSISTENT, exp, f"sum_(k<={kmax}) p_k = {head:.12f}")
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +592,6 @@ def monte_carlo_pgf(
     freq = np.bincount(counts_per_rep, minlength=n + 1) / replicates
     return PgfExpansion(
         coefficients=freq,
-        method="monte-carlo",
         negativity_flag=None,
         uncertainties=np.sqrt(freq * (1.0 - freq) / replicates),
     )
@@ -596,7 +603,9 @@ def compare_histogram(
     """Chi-square of Monte Carlo frequencies against reference probabilities.
 
     Bins with expected count below 5 are merged into their neighbor.
-    Returns (statistic, p_value).
+    Returns (statistic, p_value).  Fewer than 2 bins after merging raise
+    ValueError, and a statistic or p-value that is not finite raises
+    ArithmeticError: neither can decide a verdict.
     """
     from scipy import stats  # imported here: scipy dominates `import dklab` otherwise
 
@@ -613,14 +622,18 @@ def compare_histogram(
             keep_obs.append(acc_o)
             keep_exp.append(acc_e)
             acc_o = acc_e = 0.0
-    if acc_e > 0:
-        if keep_exp:
-            keep_obs[-1] += acc_o
-            keep_exp[-1] += acc_e
-        else:
-            keep_obs, keep_exp = [acc_o], [acc_e]
+    if acc_e > 0 and keep_exp:
+        keep_obs[-1] += acc_o
+        keep_exp[-1] += acc_e
+    if len(keep_exp) < 2:
+        raise ValueError(
+            f"chi-square needs 2 bins of expected count >= 5; {replicates} "
+            "replicates fill fewer"
+        )
     keep_exp = np.array(keep_exp) * (sum(keep_obs) / sum(keep_exp))
     stat, pvalue = stats.chisquare(keep_obs, keep_exp)
+    if not (math.isfinite(stat) and math.isfinite(pvalue)):
+        raise ArithmeticError(f"chi-square statistic {stat}, p-value {pvalue} not finite")
     return float(stat), float(pvalue)
 
 

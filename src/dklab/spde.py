@@ -151,11 +151,7 @@ def first_negativity(
 class BreakdownReport:
     """Breakdown statistics over an ensemble of seeds (artifact-calibrated)."""
 
-    alpha: float
-    grid_size: int
-    dt: float
     max_steps: int
-    noise_scale: float
     seeds: int
     hit_records: list[tuple[int, int] | None]  # (step, cell) per member
 
@@ -177,7 +173,6 @@ def negativity_ensemble(
     max_steps: int,
     seed: int,
     noise_scale: float = 1.0,
-    threads: int | None = None,
 ) -> BreakdownReport:
     """first_negativity from density 1 for each member r, on stream (seed, r * 2**32)."""
     hits: list[tuple[int, int] | None] = [None] * seeds
@@ -189,13 +184,5 @@ def negativity_ensemble(
                 fld, alpha, max_steps, RngStream(seed, r * REPLICATE_STRIDE), noise_scale
             )
 
-    run_chunked(seeds, member, threads, min_chunk=4)
-    return BreakdownReport(
-        alpha=alpha,
-        grid_size=dom.grid_size,
-        dt=dt,
-        max_steps=max_steps,
-        noise_scale=noise_scale,
-        seeds=seeds,
-        hit_records=hits,
-    )
+    run_chunked(seeds, member, min_chunk=4)
+    return BreakdownReport(max_steps=max_steps, seeds=seeds, hit_records=hits)

@@ -192,12 +192,13 @@ class FourierFunction:
         spec[1 : k + 1] = 0.5 * n * (self.cos_coeffs - 1j * self.sin_coeffs)
         return spec
 
-    def sample(self, dom: TorusDomain, oversample: int = 1) -> np.ndarray:
+    def sample(self, dom: TorusDomain) -> np.ndarray:
         """Exact samples on the domain grid via inverse FFT.
 
-        Requires max_mode < oversample*grid_size/2.
+        Requires max_mode < grid_size/2; for the range on a finer grid use
+        extrema.
         """
-        n = dom.grid_size * oversample
+        n = dom.grid_size
         if self.max_mode >= n // 2:
             raise ValueError("grid too coarse to hold this function exactly")
         return np.fft.irfft(self._half_spectrum(n), n=n)
@@ -331,19 +332,16 @@ def generator_L(f: FourierFunction) -> FourierFunction:
     return f.laplacian()
 
 
-def heat_semigroup(
-    dom: TorusDomain, f: FourierFunction, diffusivity: float, t: float
-) -> FourierFunction:
+def heat_semigroup(f: FourierFunction, diffusivity: float, t: float) -> FourierFunction:
     """Apply the heat flow with generator (diffusivity/2) * Laplacian for time t.
 
     Acts diagonally on modes: coefficient k picks up
     exp(-(diffusivity/2) (2 pi k)^2 t); the mean is untouched, so mass is
-    conserved exactly.
+    conserved exactly.  The flow is grid-free: it touches only the
+    coefficients, so no domain is needed.
 
     Parameters
     ----------
-    dom : TorusDomain
-        Domain the function lives on (the flow itself is grid-free).
     f : FourierFunction
         Input function.
     diffusivity : float

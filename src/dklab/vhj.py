@@ -28,6 +28,7 @@ import numpy as np
 from .torus import FourierFunction, TorusDomain, carre_du_champ, heat_semigroup
 
 _EXTREMA_OVERSAMPLE = 4
+_FLOOR_EPS = 16 * np.finfo(float).eps  # residual floor, in units of max|V| / dt
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def cole_hopf(
     u0 = np.exp(-f.sample(dom) / alpha)
     u0_hat = FourierFunction.from_grid(u0, max_mode=dom.max_mode)
     proj_err = float(np.max(np.abs(u0_hat.sample(dom) - u0)))
-    w = heat_semigroup(dom, u0_hat, diffusivity=alpha, t=t)
+    w = heat_semigroup(u0_hat, diffusivity=alpha, t=t)
     wg = w.sample(dom)
     if np.any(wg <= 0):
         raise ArithmeticError(
@@ -116,8 +117,6 @@ class ResidualLevel:
 class ResidualReport:
     """Sup-norm PDE residuals per time-step refinement, with observed orders."""
 
-    t: float
-    alpha: float
     levels: list[ResidualLevel]
     observed_orders: list[float]
 
@@ -161,12 +160,14 @@ def vhj_residual(
     (t - dt, t, t + dt); the spatial terms carry no discretization error,
     so the residual is the centered-difference error and should shrink at
     second order.  A residual that is not finite (at t so large that
-    t + dt == t) raises ArithmeticError; one that is exactly zero, the
-    round-off floor, gives order inf.
+    t + dt == t) raises ArithmeticError.  A residual of at most
+    16 eps max|V| / dt, with max|V| over the level's three fields, is the
+    round-off floor of the centered difference (exactly zero included),
+    and the order into such a level is inf.
     """
     if num_levels < 2:
         raise ValueError("need at least 2 refinement levels to observe an order")
-    levels = []
+    levels, at_floor = [], []
     for j in range(num_levels):
         dt = dt0 / 2**j
         triple = [cole_hopf(dom, f, alpha, t + k * dt) for k in (-1, 0, 1)]
@@ -174,13 +175,15 @@ def vhj_residual(
         if not np.isfinite(residual):
             raise ArithmeticError(f"vhj residual is {residual} at t = {t}, dt = {dt}")
         levels.append(ResidualLevel(dt=dt, residual_sup=residual))
+        v_max = max(float(np.max(np.abs(fld.values))) for fld in triple)
+        at_floor.append(residual <= _FLOOR_EPS * v_max / dt)
     orders = []
-    for a, b in zip(levels, levels[1:]):
-        if b.residual_sup > 0.0:
-            orders.append(float(np.log2(a.residual_sup / b.residual_sup)))
+    for a, b, floor in zip(levels, levels[1:], at_floor[1:]):
+        if floor:
+            orders.append(float("inf"))
         else:
-            orders.append(float("inf"))  # residual already at the round-off floor
-    return ResidualReport(t=t, alpha=alpha, levels=levels, observed_orders=orders)
+            orders.append(float(np.log2(a.residual_sup / b.residual_sup)))
+    return ResidualReport(levels=levels, observed_orders=orders)
 
 
 @dataclass(frozen=True)
@@ -190,24 +193,21 @@ class ExtremumReport:
     sup_f: float
     inf_v: float
     sup_v: float
-    slack: float
 
 
 def check_extremum_principles(field: VhjField, slack: float = 1e-12) -> ExtremumReport:
-    """inf f <= inf V_t f and sup V_t f <= sup f on the grid.
+    """inf f <= inf V_t f and sup V_t f <= sup f on a 4x refined grid.
 
-    Extrema of the datum are taken on a 4x refined grid so that the
-    trigonometric polynomial's true range is bounded safely.
+    Both ranges are taken there by FourierFunction.extrema, so that each
+    trigonometric polynomial's true range is bounded safely; V_t f's is the
+    transform's range mapped through the decreasing w -> -alpha log w.
     """
-    inf_f, sup_f = field.f.extrema(_EXTREMA_OVERSAMPLE * field.dom.grid_size)
-    v = -field.alpha * np.log(
-        field.transform.sample(field.dom, oversample=_EXTREMA_OVERSAMPLE)
-    )
-    inf_v, sup_v = float(v.min()), float(v.max())
+    n = _EXTREMA_OVERSAMPLE * field.dom.grid_size
+    inf_f, sup_f = field.f.extrema(n)
+    w_lo, w_hi = field.transform.extrema(n)
+    inf_v, sup_v = (float(v) for v in -field.alpha * np.log([w_hi, w_lo]))
     ok = (inf_f <= inf_v + slack) and (sup_v <= sup_f + slack)
-    return ExtremumReport(
-        passed=ok, inf_f=inf_f, sup_f=sup_f, inf_v=inf_v, sup_v=sup_v, slack=slack
-    )
+    return ExtremumReport(passed=ok, inf_f=inf_f, sup_f=sup_f, inf_v=inf_v, sup_v=sup_v)
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,6 @@ class GradientReport:
     coarse_bound: float
     max_gradient_sq: float
     max_sharp_violation: float
-    slack: float
 
 
 def check_gradient_estimate(field: VhjField, slack: float = 1e-8) -> GradientReport:
@@ -239,7 +238,7 @@ def check_gradient_estimate(field: VhjField, slack: float = 1e-8) -> GradientRep
     fp = f.derivative().sample(dom)
     gamma_u = np.exp(-2.0 * f.sample(dom) / alpha) * (fp / alpha) ** 2
     gamma_u_hat = FourierFunction.from_grid(gamma_u, max_mode=dom.max_mode)
-    pt_gamma_u = heat_semigroup(dom, gamma_u_hat, diffusivity=alpha, t=field.t).sample(dom)
+    pt_gamma_u = heat_semigroup(gamma_u_hat, diffusivity=alpha, t=field.t).sample(dom)
     sharp = alpha**2 * pt_gamma_u / field.exp_transform**2
     viol = float(np.max(gv - sharp))
     ok_sharp = viol <= slack
@@ -249,5 +248,4 @@ def check_gradient_estimate(field: VhjField, slack: float = 1e-8) -> GradientRep
         coarse_bound=float(coarse),
         max_gradient_sq=float(np.max(gv)),
         max_sharp_violation=viol,
-        slack=slack,
     )

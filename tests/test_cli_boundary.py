@@ -7,17 +7,31 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import dklab
-from dklab import cli
+from dklab import (
+    EmpiricalMeasure,
+    TorusDomain,
+    atomicity_verdict,
+    check_extremum_principles,
+    cli,
+    cole_hopf,
+    equally_spaced_atoms,
+    occupation,
+    random_fourier_suite,
+    verdict_from_expansion,
+)
 from dklab.cli import EXPERIMENTS, RunConfig, main, parse_manifest
+from dklab.pgf import VERDICT_CONSISTENT, PgfExpansion, compare_histogram
 
 
 @contextlib.contextmanager
@@ -257,10 +271,13 @@ def test_no_verdict_from_a_non_finite_statistic(sub, alpha, t):
         for column, cell in zip(header, row):
             if column in FINITE_COLUMNS:
                 assert math.isfinite(float(cell)), (column, row)
-    residuals = [float(row[2]) for row in rows if row[0] == "residual"]
-    assert all(map(math.isfinite, residuals)), rows
+    residuals = [(float(row[1]), float(row[2])) for row in rows if row[0] == "residual"]
+    assert all(math.isfinite(r) for _, r in residuals), rows
     if math.inf in [float(row[2]) for row in rows if row[0] == "residual-order"]:
-        assert residuals == [0.0] * len(residuals), rows  # the round-off floor
+        # every order is inf, so every refined level sits at the round-off
+        # floor 16 eps max|V| / dt; max|V| <= sup f0 = 1.5 (extremum principle)
+        floor_eps = 16 * sys.float_info.epsilon * 1.5 * (1 + 1e-12)
+        assert all(r <= floor_eps / dt for dt, r in residuals[1:]), rows
 
 
 # --------------------------------------------------------------------------
@@ -347,3 +364,176 @@ def test_ill_typed_config_value_is_a_usage_error(config, tmp_path, capsys):
     assert main(["duality", "--config", str(conf), "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("dklab: ") and "cannot read" in err
+
+
+# --------------------------------------------------------------------------
+# alpha over the whole float range, and the pgf and vhj-check refusals
+# --------------------------------------------------------------------------
+
+# alpha log-uniform on [1e-3, 1e308]
+ALPHAS = st.floats(math.log(1e-3), math.log(1e308)).map(math.exp)
+
+
+def _run_cheap(argv):
+    """(exit code, stderr, warnings, table rows or None) of main(argv + CHEAP).
+
+    Runs in a fresh directory with no bound on alpha: at the CHEAP sizes a
+    pgf or vhj-check request of any alpha is small.
+    """
+    err = io.StringIO()
+    with _in_tmp_dir(), warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv + CHEAP)
+        rows = None
+        if os.path.exists("r.csv"):
+            with open("r.csv") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()]
+    return code, err.getvalue(), caught, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=st.sampled_from([("pgf",), ("pgf", "--mu0", "0.5"), ("vhj-check",)]), alpha=ALPHAS)
+@example(sub=("pgf", "--mu0", "0.5"), alpha=1e300)
+@example(sub=("pgf", "--mu0", "0.5"), alpha=100.5)
+@example(sub=("vhj-check",), alpha=1e20)
+def test_no_verdict_from_a_non_finite_statistic_at_any_alpha(sub, alpha):
+    code, err, _, rows = _run_cheap([*sub, "--alpha", repr(alpha)])
+    event(f"{' '.join(sub)}: exit {code}")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 1:
+        assert rows is None, rows  # refused: no table
+    if code != 0:
+        return
+    for row in rows[1:]:
+        if row[0] in ("coefficient", "chi-square", "residual"):
+            assert all(math.isfinite(float(cell)) for cell in row[2:4] if cell), row
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.integers(1, 12), order=st.integers(1, 8))
+def test_integer_alpha_on_its_atoms_is_consistent(alpha, order):
+    code, err, _, rows = _run_cheap(["pgf", "--alpha", str(alpha), "--order", str(order)])
+    assert code in (0, 2), err
+    verdict = next(row[4] for row in rows if row[0] == "verdict")
+    assert verdict.startswith("consistent-integer:"), verdict
+    ks = [int(row[1]) for row in rows if row[0] == "coefficient"]
+    assert ks == list(range(max(order, alpha) + 1))
+
+
+@pytest.mark.parametrize("alpha", ["9", "20"])
+def test_mass_link_sums_only_coefficients_it_has(alpha, tmp_path, monkeypatch):
+    # the default order is 8: the mass of {0..alpha} needs p_9 and beyond
+    monkeypatch.chdir(tmp_path)
+    assert main(["pgf", "--alpha", alpha, "--out", "p.csv"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "p.csv").read_text().splitlines()]
+    assert [int(row[1]) for row in rows if row[0] == "coefficient"] == list(range(int(alpha) + 1))
+    assert next(row[4] for row in rows if row[0] == "verdict").startswith("consistent-integer:")
+    assert next(row[4] for row in rows if row[0] == "chi-square") == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pgf", "--alpha", "100.5", "--mu0", "0.5"],  # floor(alpha) beyond the series budget
+    ["pgf", "--alpha", "1e300", "--mu0", "0.5"],  # the same, where p_2 was nan
+    ["pgf", "--alpha", "2", "--replicates", "3"],  # the histogram fills one bin
+])
+def test_pgf_refuses_with_no_table_and_no_warning(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", "p.csv"]) == 1
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "p.csv").exists()
+    assert capsys.readouterr().err.startswith("dklab: ")
+
+
+def _vhj_rows(t, tmp_path):
+    assert main(["vhj-check", "--alpha", "1", "--suite", "2", "--t", t,
+                 "--out", str(tmp_path / "v.csv")]) == 0
+    return [line.split(",") for line in (tmp_path / "v.csv").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("t", ["1", "3", "10", "30"])
+def test_vhj_residual_at_the_round_off_floor_passes(t, tmp_path):
+    rows = _vhj_rows(t, tmp_path)
+    assert next(row[2] for row in rows if row[0] == "residual-order") == "inf"
+
+
+def test_vhj_residual_above_the_floor_keeps_its_order(tmp_path):
+    rows = _vhj_rows("0.7", tmp_path)
+    order = float(next(row[2] for row in rows if row[0] == "residual-order"))
+    assert abs(order - 2.0) < 0.05
+
+
+class TestVerdictInputs:
+    """The pgf verdict layer refuses what cannot decide a verdict."""
+
+    @pytest.mark.parametrize("p, unc", [
+        ([0.5, math.nan], None),
+        ([0.5, math.inf, 0.0], [0.0, 0.0, 0.0]),
+        ([0.5, 0.5], [0.0, math.nan]),
+    ])
+    def test_non_finite_expansion_refused(self, p, unc):
+        exp = PgfExpansion(np.array(p), uncertainties=None if unc is None else np.array(unc))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            verdict_from_expansion(1.0, exp)
+
+    def test_mass_link_needs_floor_alpha_plus_one_coefficients(self):
+        exp = PgfExpansion(np.array([0.25, 0.5, 0.25]))
+        assert verdict_from_expansion(2.0, exp).verdict == VERDICT_CONSISTENT
+        with pytest.raises(ValueError, match=r"p_0\.\.p_3"):
+            verdict_from_expansion(3.5, exp)
+
+    def test_atomicity_verdict_extracts_through_floor_alpha(self):
+        dom = TorusDomain(64)
+        occ = occupation(dom, [(0.2, 0.45)], 0.05, 9)
+        rep = atomicity_verdict(9, equally_spaced_atoms(9), occ, order=2)
+        assert rep.expansion.coefficients.size == 10
+        assert rep.verdict == VERDICT_CONSISTENT
+
+    def test_floor_alpha_beyond_the_series_budget_refused(self):
+        occ = occupation(TorusDomain(64), [(0.2, 0.45)], 0.05, 65.5)
+        with pytest.raises(ValueError, match="series budget"):
+            atomicity_verdict(65.5, EmpiricalMeasure([0.5]), occ, order=8)
+
+    def test_chi_square_needs_two_bins(self):
+        mc = PgfExpansion(np.array([0.25, 0.5, 0.25]))
+        with pytest.raises(ValueError, match="2 bins"):
+            compare_histogram(mc, np.array([0.25, 0.5, 0.25]), 3)
+
+    def test_chi_square_non_finite_refused(self):
+        mc = PgfExpansion(np.array([0.5, math.nan]))
+        with pytest.raises(ArithmeticError, match="not finite"):
+            compare_histogram(mc, np.array([0.5, 0.5]), 100)
+
+
+class TestRangesThroughExtrema:
+    """occupation's range of h and the extremum check's range of V_t f are
+    one inverse FFT each, through FourierFunction.extrema.  These restate
+    the bodies they replaced, sampling at 4x the grid and taking min and
+    max, and must agree with them bit for bit."""
+
+    @pytest.mark.parametrize("grid", [64, 256, 1024])
+    def test_occupation_range(self, grid):
+        rng = np.random.Generator(np.random.Philox(key=(grid, 7)))
+        dom = TorusDomain(grid)
+        for _ in range(20):
+            lo = float(rng.uniform(0.05, 0.5))
+            interval = (lo, lo + float(rng.uniform(0.1, 0.4)))
+            occ = occupation(dom, [interval], float(rng.uniform(0.02, 0.2)),
+                             float(rng.uniform(0.3, 2.5)))
+            h_ref = occ.h.sample(TorusDomain(4 * grid))
+            assert occ.h_min == float(h_ref.min())
+            assert occ.delta == 1.0 - float(h_ref.max())
+
+    @pytest.mark.parametrize("grid", [16, 32, 256, 1024])
+    def test_extremum_range(self, grid):
+        rng = np.random.Generator(np.random.Philox(key=(grid, 8)))
+        dom = TorusDomain(grid)
+        for seed in range(10):
+            for f in random_fourier_suite(seed, 3):
+                field = cole_hopf(dom, f, float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.0, 0.2)))
+                v = -field.alpha * np.log(field.transform.sample(TorusDomain(4 * grid)))
+                rep = check_extremum_principles(field)
+                assert (rep.inf_v, rep.sup_v) == (float(v.min()), float(v.max()))

@@ -72,7 +72,7 @@ class TestZeroNoiseHeatLimit:
         t = dt * steps
         fld = make_field(dom, initial(dom, rho.evaluate), dt, alpha)
         fld = evolve(fld, alpha, steps, RngStream(4, 0), noise_scale=0.0)
-        exact = heat_semigroup(dom, rho, alpha, t).sample(dom)
+        exact = heat_semigroup(rho, alpha, t).sample(dom)
         # O(dx^2 + dt) scheme; dx = 1/64 dominates
         assert np.max(np.abs(fld.cell_values - exact)) < 5 * (dom.dx**2 + dt) * 40
 

@@ -329,7 +329,7 @@ class TestHeatSemigroup:
         dom = TorusDomain(64)
         f = FourierFunction.constant(3.3)
         for t in (0.0, 0.1, 2.0):
-            out = heat_semigroup(dom, f, 1.0, t)
+            out = heat_semigroup(f, 1.0, t)
             assert out.mean == 3.3
             assert np.allclose(out.evaluate(grid()), 3.3)
 
@@ -337,19 +337,19 @@ class TestHeatSemigroup:
         dom = TorusDomain(64)
         f = FourierFunction.from_modes(cos={1: 1.0})
         t = 0.13
-        out = heat_semigroup(dom, f, 1.0, t)
+        out = heat_semigroup(f, 1.0, t)
         assert abs(out.cos_coeffs[0] - np.exp(-2 * np.pi**2 * t)) < 1e-15
 
     def test_negative_time_rejected(self):
         dom = TorusDomain(64)
         with pytest.raises(ValueError):
-            heat_semigroup(dom, FourierFunction.constant(1.0), 1.0, -0.1)
+            heat_semigroup(FourierFunction.constant(1.0), 1.0, -0.1)
 
     def test_matches_fd_oracle(self, frozen):
         # frozen explicit-Euler solve on 4096 cells (see make_fixtures.py)
         dom = TorusDomain(4096)
         f = FourierFunction.from_modes(cos={1: 1.0}, sin={2: 1.0})
-        out = heat_semigroup(dom, f, diffusivity=2.0, t=0.1)
+        out = heat_semigroup(f, diffusivity=2.0, t=0.1)
         ref = frozen["heat_fd"]
         assert abs(out.mean - ref["mean"]) < 1e-6
         assert abs(out.cos_coeffs[0] - ref["a1"]) < 1e-6
@@ -360,8 +360,8 @@ class TestHeatSemigroup:
     def test_semigroup_property_exact_on_coefficients(self):
         dom = TorusDomain(64)
         for f in random_fourier_suite(11, 4):
-            one = heat_semigroup(dom, heat_semigroup(dom, f, 1.7, 0.03), 1.7, 0.07)
-            two = heat_semigroup(dom, f, 1.7, 0.10)
+            one = heat_semigroup(heat_semigroup(f, 1.7, 0.03), 1.7, 0.07)
+            two = heat_semigroup(f, 1.7, 0.10)
             denom = np.maximum(np.abs(two.cos_coeffs), 1e-300)
             assert np.all(np.abs(one.cos_coeffs - two.cos_coeffs) / denom < 1e-12)
             denom = np.maximum(np.abs(two.sin_coeffs), 1e-300)
@@ -370,7 +370,7 @@ class TestHeatSemigroup:
     def test_mass_conservation(self):
         dom = TorusDomain(64)
         for f in random_fourier_suite(12, 6):
-            assert heat_semigroup(dom, f, 2.5, 0.4).mean == f.mean
+            assert heat_semigroup(f, 2.5, 0.4).mean == f.mean
 
 
 class TestCarreDuChamp:
@@ -417,7 +417,7 @@ class TestDiffusionAndGradientProperties:
         rng = np.random.Generator(np.random.Philox(key=(51, 0)))
         for f in random_fourier_suite(51, 8):
             t = float(rng.uniform(0.001, 0.3))
-            ptf = heat_semigroup(dom, f, 1.0, t)
+            ptf = heat_semigroup(f, 1.0, t)
             lhs = carre_du_champ(ptf).evaluate(x)
-            rhs = heat_semigroup(dom, carre_du_champ(f), 1.0, t).evaluate(x)
+            rhs = heat_semigroup(carre_du_champ(f), 1.0, t).evaluate(x)
             assert np.all(lhs <= rhs + 1e-10)
