@@ -37,6 +37,7 @@ from .pgf import (
     atomicity_verdict,
     compare_histogram,
     extract_coefficients_series,
+    mass_order,
     monte_carlo_pgf,
     occupation,
 )
@@ -303,6 +304,7 @@ def _run_martingale(cfg: RunConfig):
 
 
 def _run_pgf(cfg: RunConfig):
+    mass_order(cfg.alpha)  # refuses an alpha past the series budget before its atoms exist
     dom = TorusDomain(cfg.grid)
     mu0 = cfg.atoms()
     occ = occupation(dom, cfg.intervals(), cfg.t, cfg.alpha)

@@ -1,9 +1,10 @@
 """Deterministic replicate-level parallelism.
 
-Work is split into contiguous replicate chunks; each worker writes into a
-disjoint slice of preallocated output and owns its random streams, so the
-result is bitwise independent of the thread count.  DKLAB_THREADS caps the
-pool size (default: all cores).
+range(total) is split into one contiguous slab per thread; each worker
+writes into a disjoint slice of preallocated output and owns its random
+streams, so the result is bitwise independent of the thread count.  A
+worker that needs bounded memory walks its slab in pieces of its own
+choosing.  DKLAB_THREADS caps the pool size (default: all cores).
 """
 
 from __future__ import annotations
@@ -25,34 +26,21 @@ def thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def run_chunked(
-    total: int,
-    worker,
-    threads: int | None = None,
-    min_chunk: int = 256,
-    max_chunk: int | None = None,
-):
-    """Call worker(lo, hi) over a partition of range(total).
+def run_chunked(total: int, worker, threads: int | None = None):
+    """Call worker(lo, hi) once per slab of a partition of range(total).
 
-    worker must only write to state indexed by [lo, hi), and the value at
-    each index must be a function of the index alone (stream-keyed draws),
-    so neither chunk boundaries nor scheduling can change the result.
-
-    Chunks aim at four per thread and hold at least min_chunk indices,
-    but never more than max_chunk: a caller whose worker allocates per
-    index passes the count its memory budget allows, so the memory in use
-    stays bounded however large total is.
+    The slabs are contiguous, at most `threads` of them (default
+    thread_count()), and their sizes differ by at most 1; each runs on its
+    own thread, or inline at one slab.  worker must only write to state
+    indexed by [lo, hi), and the value at each index must be a function of
+    the index alone (stream-keyed draws), so neither slab boundaries nor
+    scheduling can change the result.  A worker's exception propagates.
     """
-    threads = threads or thread_count()
-    if total <= 0:
+    slabs = min(threads or thread_count(), total)
+    if slabs <= 1:
+        if total > 0:
+            worker(0, total)
         return
-    chunk = max(min_chunk, -(-total // max(1, 4 * threads)))
-    if max_chunk is not None:
-        chunk = min(chunk, max(1, max_chunk))
-    spans = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
-    if threads == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            worker(lo, hi)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda span: worker(*span), spans))
+    bounds = [total * s // slabs for s in range(slabs + 1)]
+    with ThreadPoolExecutor(max_workers=slabs) as pool:
+        list(pool.map(worker, bounds[:-1], bounds[1:]))

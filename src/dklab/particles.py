@@ -21,21 +21,18 @@ exponential per atom and state, after which <mu, phi>, <mu, L phi> and
 <mu, Gamma phi> are dot products with their coefficients
 (FourierFunction.pair_moments).  The ensemble driver integrates the
 moments over time before pairing, since it keeps only the final M_t and
-qv_t, and it simulates paths in chunks whose arrays hold at most
-_CHUNK_BYTES (512 KiB) each, so its memory does not grow with the
-replicate count and a chunk's working set stays close to the L2 cache.
-Each worker thread takes one set of buffers (its arena) on its first
-chunk and writes every later chunk into prefix views of it: the positions
-(at most _CHUNK_BYTES) and the two complex moment arrays (twice that
-each).  The arenas live for one call, so a call holds about
-5 * _CHUNK_BYTES per thread and allocates, and page-faults, that memory
-once rather than once a chunk.
+qv_t.  Each thread takes one contiguous slab of replicates
+(parallel.run_chunked) and one set of buffers for it: the positions (at
+most _CHUNK_BYTES) and the two complex moment arrays (twice that each).
+It walks its slab in pieces that fit those buffers, so a call holds about
+5 * _CHUNK_BYTES per thread whatever the replicate count, allocates and
+page-faults that memory once, and a piece's working set stays close to
+the L2 cache.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,10 +49,10 @@ from .torus import (
     wrap,
 )
 
-# bytes of one chunk's positions (replicates x particles x grid times,
+# bytes of one piece's positions (replicates x particles x grid times,
 # float64) in martingale_ensemble; each of the two complex moment arrays
-# takes twice that, so 512 KiB keeps a chunk and its moments near a 2 MB
-# L2 cache, and a worker's arena, which holds all three, at about
+# takes twice that, so 512 KiB keeps a piece and its moments near a 2 MB
+# L2 cache, and a thread's buffers, which hold all three, at about
 # 5 * _CHUNK_BYTES
 _CHUNK_BYTES = 1 << 19
 
@@ -164,7 +161,7 @@ def _paths(
     x = np.empty(shape) if out is None else out[: ids.size * shape[-1]].reshape(shape)
     x[..., 0] = 0.0
     # the draws go straight into x: a separate array of them would be
-    # allocated and page-faulted afresh for every chunk
+    # allocated and page-faulted afresh for every piece
     _fill_normals(seed, ids.ravel(), x.reshape(-1, num_steps + 1)[:, 1:])
     np.cumsum(x, axis=-1, out=x)
     x *= sigma
@@ -281,34 +278,35 @@ def qv_statistic(ensemble: tuple[np.ndarray, np.ndarray, float]) -> QvReport:
     The QV z-score uses the paired per-replicate differences
     M_t^2 - qv_t, which is the correct standard error for testing that
     their common mean gap is zero; both scores follow z_score.  Raises
-    ValueError for fewer than 100 replicates, for any non-finite M_t or
-    qv_t, and for a mean, standard error or score that is not finite (at
-    large t, M_t^2 overflows although M_t does not).
+    ValueError for fewer than 100 replicates and, before anything is
+    squared, for an M_t or qv_t that is not finite or so large that the
+    sum of squares in the standard error of M_t^2 - qv_t could overflow
+    (at large t, M_t^2 overflows although M_t does not).
     """
     m_final, qv_final, t = ensemble
     r = m_final.size
     if r < 100:
         raise ValueError(f"need at least 100 replicates, got {r}")
-    if not (np.all(np.isfinite(m_final)) and np.all(np.isfinite(qv_final))):
-        raise ValueError("the ensemble holds non-finite M_t or qv_t values")
+    # |M_t^2 - qv_t| <= 2 bound, so its r squared deviations sum below max / 4
+    bound = math.sqrt(np.finfo(float).max / r) / 8
+    m_max, qv_max = float(np.max(np.abs(m_final))), float(np.max(np.abs(qv_final)))
+    if not (m_max <= math.sqrt(bound) and qv_max <= bound):  # NaN fails too
+        raise ValueError(f"M_t: max |M_t| {m_max:.3g}, max |qv_t| {qv_max:.3g}: the ensemble "
+                         "holds non-finite values, or values whose squares in the QV standard "
+                         "error are not finite; no verdict is drawn from it")
     se = lambda x: float(np.std(x, ddof=1) / np.sqrt(x.size))  # noqa: E731
     mean_m = float(np.mean(m_final))
     se_m = se(m_final)
     diff = m_final**2 - qv_final
     se_d = se(diff)
-    mean_m2 = float(np.mean(m_final**2))
-    mean_qv = float(np.mean(qv_final))
-    for name, value in (("mean_m2", mean_m2), ("mean_qv", mean_qv)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name}: not finite ({value!r}); no verdict is drawn from it")
     return QvReport(
         t=float(t),
         replicates=r,
         mean_m=mean_m,
         se_m=se_m,
         z_mean=z_score("z_mean", mean_m, 0.0, se_m),
-        mean_m2=mean_m2,
-        mean_qv=mean_qv,
+        mean_m2=float(np.mean(m_final**2)),
+        mean_qv=float(np.mean(qv_final)),
         se_diff=se_d,
         z_qv=z_score("z_qv", float(np.mean(diff)), 0.0, se_d),
     )
@@ -361,14 +359,14 @@ def martingale_ensemble(
     """Final-time (M_t(phi), qv_t) over an ensemble of paths.
 
     Returns (m_final, qv_final, t_final) ready for qv_statistic.  Replicate
-    r is the path simulate_path(..., seed, replicate=r).  Each chunk
-    of paths is reduced to the Fourier moments of its final states and the
-    trapezoid time integral of its moments, and the three pairings are
-    taken from those; a chunk holds at most _CHUNK_BYTES bytes of
-    positions, whatever the replicate count.  Each worker thread writes its
-    chunks into one arena, a positions buffer and two complex moment
-    buffers sized for the largest chunk, allocated on its first chunk and
-    freed when the call returns: about 5 * _CHUNK_BYTES per thread.
+    r is the path simulate_path(..., seed, replicate=r).  Each thread
+    takes one contiguous slab of replicates and walks it in pieces of at
+    most _CHUNK_BYTES bytes of positions, whatever the replicate count.
+    Each piece is reduced to the Fourier moments of its final states and
+    the trapezoid time integral of its moments, and the three pairings are
+    taken from those.  A thread writes all its pieces into one positions
+    buffer and two complex moment buffers, sized for one piece and
+    allocated once per slab: about 5 * _CHUNK_BYTES per thread.
     """
     n = _check_grid(mu0, alpha, t_final, num_steps)
     times = np.linspace(0.0, t_final, num_steps + 1)
@@ -382,24 +380,21 @@ def martingale_ensemble(
     m_final = np.empty(replicates)
     qv_final = np.empty(replicates)
     cap = max(1, _CHUNK_BYTES // ((num_steps + 1) * n * 8))
-    arena_size = min(cap, replicates) * n * (num_steps + 1)
-    arenas = threading.local()  # one per worker thread, dropped on return
 
     def fill(lo, hi):
-        if not hasattr(arenas, "buffers"):
-            arenas.buffers = (
-                np.empty(arena_size),
-                np.empty(arena_size, dtype=complex),
-                np.empty(arena_size, dtype=complex),
+        size = min(cap, hi - lo) * n * (num_steps + 1)
+        positions = np.empty(size)
+        e1 = np.empty(size, dtype=complex)
+        ek = np.empty(size, dtype=complex)
+        for a in range(lo, hi, cap):
+            b = min(a + cap, hi)
+            x = _paths(mu0, sigma, num_steps, seed, a, b, out=positions)
+            final = _fourier_moments_into(x[:, :, -1], order, None, e1, ek)
+            integral = _fourier_moments_into(x.reshape(b - a, -1), order, weights, e1, ek)
+            m_final[a:b] = (
+                phi.pair_moments(final) - start - 0.5 * n * lphi.pair_moments(integral)
             )
-        positions, e1, ek = arenas.buffers
-        x = _paths(mu0, sigma, num_steps, seed, lo, hi, out=positions)
-        final = _fourier_moments_into(x[:, :, -1], order, None, e1, ek)
-        integral = _fourier_moments_into(x.reshape(hi - lo, -1), order, weights, e1, ek)
-        m_final[lo:hi] = (
-            phi.pair_moments(final) - start - 0.5 * n * lphi.pair_moments(integral)
-        )
-        qv_final[lo:hi] = gphi.pair_moments(integral)
+            qv_final[a:b] = gphi.pair_moments(integral)
 
-    run_chunked(replicates, fill, threads, min_chunk=512, max_chunk=cap)
+    run_chunked(replicates, fill, threads)
     return m_final, qv_final, t_final

@@ -492,6 +492,17 @@ class AtomicityReport:
     detail: str
 
 
+def mass_order(alpha: float) -> int:
+    """floor(alpha), the last p_k the mass check sums; ValueError beyond MAX_SERIES_ORDER."""
+    kmax = math.floor(alpha)
+    if kmax > MAX_SERIES_ORDER:
+        raise ValueError(
+            f"alpha = {alpha}: the mass check needs p_0..p_floor(alpha), beyond "
+            f"the series budget ({MAX_SERIES_ORDER})"
+        )
+    return kmax
+
+
 def atomicity_verdict(
     alpha: float,
     mu0: EmpiricalMeasure,
@@ -510,15 +521,9 @@ def atomicity_verdict(
 
     Coefficients are extracted through max(order, floor(alpha)), so the
     mass check sums only coefficients it has; floor(alpha) beyond
-    MAX_SERIES_ORDER raises ValueError.
+    MAX_SERIES_ORDER raises ValueError (see mass_order).
     """
-    kmax = math.floor(alpha)
-    if kmax > MAX_SERIES_ORDER:
-        raise ValueError(
-            f"alpha = {alpha}: the mass check needs p_0..p_floor(alpha), beyond "
-            f"the series budget ({MAX_SERIES_ORDER})"
-        )
-    order = max(order, kmax)
+    order = max(order, mass_order(alpha))
     if method == "series":
         exp = extract_coefficients_series(alpha, mu0, occ, order)
     elif method == "limit":

@@ -176,13 +176,13 @@ def negativity_ensemble(
 ) -> BreakdownReport:
     """first_negativity from density 1 for each member r, on stream (seed, r * 2**32)."""
     hits: list[tuple[int, int] | None] = [None] * seeds
+    fld = make_field(dom, 1.0, dt, alpha)  # step never writes into a field
 
     def member(lo, hi):
         for r in range(lo, hi):
-            fld = make_field(dom, 1.0, dt, alpha)
             hits[r] = first_negativity(
                 fld, alpha, max_steps, RngStream(seed, r * REPLICATE_STRIDE), noise_scale
             )
 
-    run_chunked(seeds, member, min_chunk=4)
+    run_chunked(seeds, member)
     return BreakdownReport(max_steps=max_steps, seeds=seeds, hit_records=hits)

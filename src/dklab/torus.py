@@ -284,7 +284,7 @@ def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarr
     e1_buf and ek_buf are contiguous 1-D complex buffers of at least x.size
     entries; the first x.size entries of each are overwritten, by
     exp(2 pi i x) and by its higher powers.  A caller that takes moments
-    chunk after chunk passes the same two buffers every time, so no call
+    piece after piece passes the same two buffers every time, so no call
     allocates (and page-faults) an array of x's size.
     """
     if weights is None:
@@ -356,7 +356,8 @@ def heat_semigroup(f: FourierFunction, diffusivity: float, t: float) -> FourierF
     if f.max_mode == 0:
         return f
     k = np.arange(1, f.max_mode + 1)
-    damp = np.exp(-0.5 * diffusivity * (TWO_PI * k) ** 2 * t)
+    with np.errstate(over="ignore"):  # a huge diffusivity gives exp(-inf) = 0, rightly
+        damp = np.exp(-0.5 * diffusivity * (TWO_PI * k) ** 2 * t)
     return FourierFunction(f.mean, f.cos_coeffs * damp, f.sin_coeffs * damp)
 
 

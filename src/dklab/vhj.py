@@ -239,7 +239,12 @@ def check_gradient_estimate(field: VhjField, slack: float = 1e-8) -> GradientRep
     gamma_u = np.exp(-2.0 * f.sample(dom) / alpha) * (fp / alpha) ** 2
     gamma_u_hat = FourierFunction.from_grid(gamma_u, max_mode=dom.max_mode)
     pt_gamma_u = heat_semigroup(gamma_u_hat, diffusivity=alpha, t=field.t).sample(dom)
-    sharp = alpha**2 * pt_gamma_u / field.exp_transform**2
+    try:
+        alpha_sq = alpha**2  # a Python float: ** raises OverflowError, not inf
+    except OverflowError as exc:
+        raise ArithmeticError(f"alpha = {alpha}: alpha^2 in the sharp gradient estimate "
+                              "is not finite") from exc
+    sharp = alpha_sq * pt_gamma_u / field.exp_transform**2
     viol = float(np.max(gv - sharp))
     ok_sharp = viol <= slack
     return GradientReport(

@@ -165,6 +165,10 @@ REFUSED = {
                               "--replicates", "3", "--max-steps", "0"],
     "martingale-num-steps-0": ["martingale", "--alpha", "1", "--replicates", "200",
                                "--num-steps", "0"],
+    # alpha near the float maximum: the series budget (pgf) or alpha^2
+    # (vhj-check) refuses, and the heat damping must not warn on the way
+    "pgf-alpha-1e308": ["pgf", "--alpha", "1e308", "--mu0", "0.5"],
+    "vhj-check-alpha-1e308": ["vhj-check", "--alpha", "1e308", "--suite", "2", "--grid", "64"],
 }
 
 
@@ -182,6 +186,31 @@ class TestRefusals:
         assert code == 1
         assert not caught
         assert err.startswith("dklab: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_vhj_alpha_whose_square_overflows_is_named(self, tmp_path, capsys):
+        code = run_cli(REFUSED["vhj-check-alpha-1e308"] + ["--out", str(tmp_path / "v.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("dklab: alpha = 1e+308: ")
+
+    def test_pgf_past_the_series_budget_is_refused_before_its_atoms(self, tmp_path):
+        # 1e8 equally spaced atoms take 0.8 GB, so the refusal must come
+        # first.  The child measures its own peak: RUSAGE_CHILDREN here
+        # would include the children of earlier tests.
+        probe = ("import resource, sys\n"
+                 "from dklab.cli import main\n"
+                 "code = main(['pgf', '--alpha', '1e8', '--grid', '16', '--out', sys.argv[1]])\n"
+                 "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(pathlib.Path(dklab.__file__).parents[1])
+        out = tmp_path / "p.csv"
+        res = subprocess.run([sys.executable, "-c", probe, str(out)],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        code, peak_kib = (int(v) for v in res.stdout.split())
+        assert code == 1
+        assert res.stderr == ("dklab: alpha = 100000000.0: the mass check needs "
+                              "p_0..p_floor(alpha), beyond the series budget (64)\n")
+        assert peak_kib < 200 * 1024
         assert not out.exists()
 
     def test_out_of_memory_is_refused(self, tmp_path, capsys, monkeypatch):

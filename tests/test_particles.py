@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -237,16 +238,15 @@ class TestEnsembleChunks:
         assert np.isnan(buffer[want.size :]).all()
 
     def test_every_chunk_within_budget(self, monkeypatch):
+        # every piece of a slab is one _paths call
         spans = []
-        run_chunked = particles.run_chunked
+        paths = particles._paths
 
-        def recording(total, worker, *args, **kwargs):
-            def record(lo, hi):
-                spans.append((lo, hi))
-                worker(lo, hi)
-            return run_chunked(total, record, *args, **kwargs)
+        def recording(mu0, sigma, num_steps, seed, lo, hi, out=None):
+            spans.append((lo, hi))
+            return paths(mu0, sigma, num_steps, seed, lo, hi, out)
 
-        monkeypatch.setattr(particles, "run_chunked", recording)
+        monkeypatch.setattr(particles, "_paths", recording)
         n, steps, replicates = 5, 200, 3000
         martingale_ensemble(EmpiricalMeasure(np.arange(n) / n), n, self.PHI, 0.02, steps,
                             replicates, 5)
@@ -354,6 +354,16 @@ class TestZScore:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="not finite"):
                 qv_statistic((m, np.ones(201), 1e200))
+
+    def test_qv_statistic_refuses_before_squaring(self):
+        # the refusal names M_t and comes before numpy overflows (and warns)
+        m = np.linspace(-1e200, 1e200, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="M_t"):
+                qv_statistic((m, np.ones(201), 1e200))
+            rep = qv_statistic((np.linspace(-1e75, 1e75, 201), np.ones(201), 1e200))
+        assert math.isfinite(rep.se_diff) and math.isfinite(rep.mean_m2)
 
     def test_zero_ensemble_scores_zero(self):
         rep = qv_statistic((np.zeros(200), np.zeros(200), 0.0))

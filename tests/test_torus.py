@@ -372,6 +372,14 @@ class TestHeatSemigroup:
         for f in random_fourier_suite(12, 6):
             assert heat_semigroup(f, 2.5, 0.4).mean == f.mean
 
+    def test_overflowing_exponent_damps_to_zero_without_a_warning(self):
+        f = FourierFunction.from_modes(mean=0.7, cos={1: 1.0}, sin={3: 0.5})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = heat_semigroup(f, 1e308, 0.05)
+        assert out.mean == 0.7
+        assert not out.cos_coeffs.any() and not out.sin_coeffs.any()
+
 
 class TestCarreDuChamp:
     def test_constant_gives_zero(self):

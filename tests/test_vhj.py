@@ -149,6 +149,11 @@ class TestGradientEstimate:
         assert rep.passed and rep.passed_sharp
         assert rep.max_gradient_sq < rep.coarse_bound * 0.9
 
+    def test_alpha_whose_square_overflows_is_named(self, dom):
+        field = cole_hopf(dom, bump(), 1e308, 0.05)
+        with pytest.raises(ArithmeticError, match="alpha = 1e\\+308"):
+            check_gradient_estimate(field)
+
     def test_random_suite_both_forms(self, dom):
         rng = np.random.Generator(np.random.Philox(key=(62, 0)))
         for f in random_fourier_suite(62, 20):
