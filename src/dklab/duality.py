@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import EmpiricalMeasure, require_integer_alpha, standard_increments, z_score
+from .particles import (
+    EmpiricalMeasure,
+    _check_spread,
+    require_integer_alpha,
+    standard_increments,
+    z_score,
+)
 from .rng import derive_seed
 from .torus import FourierFunction, TorusDomain, wrap
 from .vhj import cole_hopf
@@ -86,9 +92,12 @@ def run_duality_test(
     seed : int
         Stream seed; replicate r, particle i uses stream r * 2**32 + i.
 
-    Scored by particles.z_score: a non-finite cell raises ValueError.
+    Scored by particles.z_score: a non-finite cell raises ValueError, as
+    does alpha t past 2**38, where the wrapped positions would keep fewer
+    than 30 fractional bits.
     """
     n = require_integer_alpha(alpha, mu0.n)
+    _check_spread(n, t)
     dom = dom or TorusDomain(256)
     if antithetic and replicates % 2:
         raise ValueError("antithetic estimation needs an even replicate count")

@@ -58,6 +58,11 @@ _CHUNK_BYTES = 1 << 19
 
 _DEGENERATE_ATOL = 1e-9
 
+# a one-draw sample is atom + sqrt(n t) xi, wrapped to [0, 1); past
+# n t = 2**38 a draw of 8 sigma reaches 2**22, where a float64 keeps fewer
+# than 30 fractional bits for wrap to return
+_MAX_SPREAD_VARIANCE = 2.0**38
+
 
 def require_integer_alpha(alpha, n_atoms: int) -> int:
     """Validate the only parameter regime in which the process exists."""
@@ -135,6 +140,15 @@ def _check_grid(mu0: EmpiricalMeasure, alpha, t_final: float, num_steps: int) ->
     if num_steps < 1:
         raise ValueError(f"num_steps must be a positive integer, got {num_steps}")
     return n
+
+
+def _check_spread(n: int, t: float) -> None:
+    """Refuses a one-draw sample of n particles at a t past 2**38 / n (see above)."""
+    if t > _MAX_SPREAD_VARIANCE / n:
+        raise ValueError(
+            f"t = {t}: the spread sqrt(alpha t) = {math.sqrt(n * t):.3g} leaves the wrapped "
+            "positions fewer than 30 fractional bits; alpha t must stay below 2**38"
+        )
 
 
 def _paths(
@@ -340,9 +354,11 @@ def terminal_ensemble(
     """Positions of mu_t for replicates 0..replicates-1, shape (replicates, n).
 
     Replicate r is the one-step path simulate_path(mu0, alpha, t, 1, seed, r)
-    at time t, drawn one normal per stream at once.
+    at time t, drawn one normal per stream at once.  alpha t past 2**38
+    raises ValueError: the positions would keep fewer than 30 fractional bits.
     """
     n = _check_grid(mu0, alpha, t, 1)
+    _check_spread(n, t)
     return wrap(mu0.positions + np.sqrt(n * t) * standard_increments(n, replicates, seed))
 
 

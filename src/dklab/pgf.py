@@ -611,8 +611,15 @@ def compare_histogram(
     Returns (statistic, p_value).  Fewer than 2 bins after merging raise
     ValueError, and a statistic or p-value that is not finite raises
     ArithmeticError: neither can decide a verdict.
+
+    The statistic is Pearson's sum((o - e)**2 / e) over the merged bins and
+    the p-value the chi-square survival function chdtrc(bins - 1, stat).
+    That is the arithmetic of scipy.stats.chisquare in scipy 1.17 (its
+    power divergence at lambda 1, scored by special.chdtrc), so the two
+    agree bit for bit; but only scipy.special is imported, where
+    scipy.stats would add about 65 MB and 0.7 s to a cold run.
     """
-    from scipy import stats  # imported here: scipy dominates `import dklab` otherwise
+    from scipy.special import chdtrc  # imported here: scipy dominates `import dklab` otherwise
 
     obs = mc.coefficients * replicates
     exp = np.asarray(reference, dtype=float) * replicates
@@ -636,7 +643,8 @@ def compare_histogram(
             "replicates fill fewer"
         )
     keep_exp = np.array(keep_exp) * (sum(keep_obs) / sum(keep_exp))
-    stat, pvalue = stats.chisquare(keep_obs, keep_exp)
+    stat = np.sum((np.asarray(keep_obs, dtype=np.float64) - keep_exp) ** 2 / keep_exp)
+    pvalue = chdtrc(keep_exp.size - 1, stat)
     if not (math.isfinite(stat) and math.isfinite(pvalue)):
         raise ArithmeticError(f"chi-square statistic {stat}, p-value {pvalue} not finite")
     return float(stat), float(pvalue)

@@ -76,11 +76,13 @@ class FourierFunction:
     sin_coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.cos_coeffs, dtype=float))
-        b = np.atleast_1d(np.asarray(self.sin_coeffs, dtype=float))
-        m = max(a.size, b.size)
-        a = np.pad(a, (0, m - a.size))
-        b = np.pad(b, (0, m - b.size))
+        # copies, so that the function never shares a caller's array
+        a = np.array(self.cos_coeffs, dtype=float, ndmin=1)
+        b = np.array(self.sin_coeffs, dtype=float, ndmin=1)
+        if a.size != b.size:  # np.pad costs more than the rest of a construction
+            m = max(a.size, b.size)
+            a = np.pad(a, (0, m - a.size))
+            b = np.pad(b, (0, m - b.size))
         object.__setattr__(self, "cos_coeffs", a)
         object.__setattr__(self, "sin_coeffs", b)
         object.__setattr__(self, "mean", float(self.mean))

@@ -15,6 +15,31 @@ from dklab.cli import UsageError, main, parse_config, parse_manifest
 from dklab.parallel import thread_count
 
 
+# The child reads its own peak RSS from VmHWM, the high-water mark of its
+# address space since exec.  RUSAGE_SELF would not do: Linux carries a
+# process's ru_maxrss across fork and exec, so a child of this test process
+# reports at least the test process's own peak.  RUSAGE_CHILDREN here would
+# include the children of earlier tests.
+_CHILD_PROBE = (
+    "import sys\n"
+    "from dklab.cli import main\n"
+    "code = main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
+    "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+    "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules, hwm.split()[1])\n"
+)
+
+
+def run_child(argv, out):
+    """main(argv) in a fresh interpreter: (exit code, scipy.special loaded,
+    scipy.stats loaded, peak RSS in KiB, stderr)."""
+    src = str(pathlib.Path(dklab.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-c", _CHILD_PROBE, str(out), *argv],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    code, special, stats, peak_kib = res.stdout.splitlines()[-1].split()
+    return int(code), special == "True", stats == "True", int(peak_kib), res.stderr
+
+
 def run_cli(argv):
     return main(argv)
 
@@ -165,10 +190,18 @@ REFUSED = {
                               "--replicates", "3", "--max-steps", "0"],
     "martingale-num-steps-0": ["martingale", "--alpha", "1", "--replicates", "200",
                                "--num-steps", "0"],
-    # alpha near the float maximum: the series budget (pgf) or alpha^2
-    # (vhj-check) refuses, and the heat damping must not warn on the way
+    # alpha near the float maximum: the series budget (pgf) or the bound on
+    # max|f|/alpha (vhj-check) refuses, and the heat damping must not warn
+    # on the way
     "pgf-alpha-1e308": ["pgf", "--alpha", "1e308", "--mu0", "0.5"],
     "vhj-check-alpha-1e308": ["vhj-check", "--alpha", "1e308", "--suite", "2", "--grid", "64"],
+    # -alpha log w has lost f to rounding: the extremum check would judge
+    # the rounding
+    "vhj-check-alpha-1e16": ["vhj-check", "--alpha", "1e16", "--suite", "2"],
+    "vhj-check-alpha-1e20": ["vhj-check", "--alpha", "1e20", "--suite", "2"],
+    # sqrt(alpha t) leaves the wrapped one-draw positions no fractional bits
+    "duality-t-1e30": ["duality", "--alpha", "2", "--t", "1e30"],
+    "pgf-t-1e100": ["pgf", "--alpha", "2", "--t", "1e100", "--replicates", "2000"],
 }
 
 
@@ -194,24 +227,24 @@ class TestRefusals:
         assert capsys.readouterr().err.startswith("dklab: alpha = 1e+308: ")
 
     def test_pgf_past_the_series_budget_is_refused_before_its_atoms(self, tmp_path):
-        # 1e8 equally spaced atoms take 0.8 GB, so the refusal must come
-        # first.  The child measures its own peak: RUSAGE_CHILDREN here
-        # would include the children of earlier tests.
-        probe = ("import resource, sys\n"
-                 "from dklab.cli import main\n"
-                 "code = main(['pgf', '--alpha', '1e8', '--grid', '16', '--out', sys.argv[1]])\n"
-                 "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        src = str(pathlib.Path(dklab.__file__).parents[1])
+        # 1e8 equally spaced atoms take 0.8 GB, so the refusal must come first
         out = tmp_path / "p.csv"
-        res = subprocess.run([sys.executable, "-c", probe, str(out)],
-                             env={**os.environ, "PYTHONPATH": src},
-                             capture_output=True, text=True, timeout=120)
-        code, peak_kib = (int(v) for v in res.stdout.split())
+        code, _, _, peak_kib, err = run_child(["pgf", "--alpha", "1e8", "--grid", "16"], out)
         assert code == 1
-        assert res.stderr == ("dklab: alpha = 100000000.0: the mass check needs "
-                              "p_0..p_floor(alpha), beyond the series budget (64)\n")
+        assert err == ("dklab: alpha = 100000000.0: the mass check needs "
+                       "p_0..p_floor(alpha), beyond the series budget (64)\n")
         assert peak_kib < 200 * 1024
         assert not out.exists()
+
+    def test_pgf_chi_square_loads_no_scipy_stats(self, tmp_path):
+        # the chi-square check needs only scipy.special; scipy.stats would
+        # add about 65 MB to the run
+        out = tmp_path / "p.csv"
+        code, special, stats, peak_kib, _ = run_child(
+            ["pgf", "--alpha", "2", "--t", "0.05", "--replicates", "5000", "--seed", "42"], out)
+        assert (code, special, stats) == (0, True, False)
+        assert any(row.startswith("chi-square,") for row in out.read_text().splitlines())
+        assert peak_kib < 80 * 1024
 
     def test_out_of_memory_is_refused(self, tmp_path, capsys, monkeypatch):
         def too_large(*args, **kwargs):

@@ -52,6 +52,11 @@ class TestSingleCell:
         with pytest.raises(ValueError, match="atoms"):
             run_duality_test(2, EmpiricalMeasure([0.5]), bump(), 0.05, 100, 3, dom=dom)
 
+    def test_spread_past_2_to_38_refused(self, dom):
+        mu0 = EmpiricalMeasure([0.25, 0.75])
+        with pytest.raises(ValueError, match="fractional bits"):
+            run_duality_test(2, mu0, bump(), np.nextafter(2.0**37, np.inf), 100, 3, dom=dom)
+
     def test_single_particle_against_quadrature(self, dom):
         # n = 1 closed form: E exp(-f(X_t)) = integral of the wrapped kernel
         # against exp(-f); fully independent of the Cole-Hopf code path

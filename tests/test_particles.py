@@ -126,6 +126,15 @@ class TestSimulatePath:
         res = stats.ks_2samp(pos_multi, pos_single)
         assert res.pvalue > 0.001
 
+    def test_spread_past_2_to_38_refused(self):
+        # alpha t = 2**38 is the last spread whose 8-sigma draws keep 30
+        # fractional bits once wrapped
+        mu0 = EmpiricalMeasure([0.1, 0.6])
+        assert np.all(np.isfinite(terminal_ensemble(mu0, 2, 2.0**37, 10, seed=1)))
+        for t in (np.nextafter(2.0**37, np.inf), 1e100, np.inf):
+            with pytest.raises(ValueError, match="fractional bits"):
+                terminal_ensemble(mu0, 2, t, 10, seed=1)
+
     def test_terminal_matches_per_stream_draws(self):
         mu0 = EmpiricalMeasure([0.1, 0.6])
         for seed in (21, 2**63 + 21):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dklab import (
     EmpiricalMeasure,
@@ -18,7 +19,7 @@ from dklab import (
     series_from_bernoulli,
     verdict_from_expansion,
 )
-from dklab.pgf import compare_histogram
+from dklab.pgf import PgfExpansion, compare_histogram
 from oracles import generalized_binomial_pmf, poisson_binomial
 
 
@@ -273,6 +274,21 @@ class TestMonteCarlo:
         ref = extract_coefficients_series(2, mu0, occ, 2)
         _, pvalue = compare_histogram(mc, ref.coefficients, 100000)
         assert pvalue > 0.001
+
+    def test_chi_square_matches_scipy_bit_for_bit(self):
+        # compare_histogram computes Pearson's statistic and its p-value
+        # itself; scipy.stats.chisquare on the same bins is the reference.
+        # Every expected count is at least 5, so no bin is merged.
+        rng = np.random.Generator(np.random.Philox(key=(14, 0)))
+        for _ in range(2000):
+            expected = np.exp(rng.uniform(np.log(5.0), np.log(1e5), rng.integers(2, 66)))
+            replicates = int(np.ceil(expected.sum())) + 1
+            p = expected / expected.sum()
+            freq = rng.multinomial(replicates, p) / replicates
+            obs, exp = list(freq * replicates), list(p * replicates)
+            want = stats.chisquare(obs, np.array(exp) * (sum(obs) / sum(exp)))
+            got = compare_histogram(PgfExpansion(freq), p, replicates)
+            assert got == (float(want.statistic), float(want.pvalue))
 
     def test_non_integer_alpha_refused(self, occ_15):
         with pytest.raises(ValueError, match="non-integer"):

@@ -102,6 +102,39 @@ class TestNoiseStatistics:
         assert np.array_equal(a.cell_values, b.cell_values)
 
 
+def step_by_roll(field, alpha, stream, noise_scale=1.0):
+    """spde.step as written with np.roll, before its neighbours were sliced."""
+    mu = field.cell_values
+    dx = 1.0 / field.grid_size
+    dt = field.dt
+    mu_right = np.roll(mu, -1, axis=-1)
+    diff_flux = (0.5 * alpha / dx) * (mu_right - mu)
+    if noise_scale != 0.0:
+        xi = stream.generator.standard_normal(mu.size).reshape(mu.shape)
+        interface = 0.5 * (mu + mu_right)
+        noise_flux = noise_scale * np.sqrt(np.maximum(interface, 0.0)) * xi * np.sqrt(dt / dx)
+    else:
+        noise_flux = np.zeros_like(mu)
+    total = dt * diff_flux + noise_flux
+    return mu + (total - np.roll(total, 1, axis=-1)) / dx
+
+
+class TestStepMatchesRoll:
+    @pytest.mark.parametrize("shape", [(256,), (5, 64)])
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    def test_bits_match(self, shape, noise):
+        dom = TorusDomain(shape[-1])
+        alpha = 1.3
+        dt = 0.5 * stability_limit(dom, alpha)
+        rng = np.random.Generator(np.random.Philox(key=(14, shape[0])))
+        fld = make_field(dom, rng.uniform(0.0, 2.0, shape), dt, alpha)
+        for seed in range(3):
+            got = step(fld, alpha, RngStream(seed, 0), noise).cell_values
+            want = step_by_roll(fld, alpha, RngStream(seed, 0), noise)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            fld = step(fld, alpha, RngStream(seed, 1), noise)
+
+
 class TestNegativity:
     def test_zero_noise_never_negative(self, dom):
         alpha = 1.5

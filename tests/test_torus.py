@@ -109,6 +109,22 @@ class TestFourierFunction:
         assert abs(g.mean - f.mean) < 1e-14
         assert np.allclose(g.cos_coeffs[:7], f.cos_coeffs, atol=1e-13)
 
+    def test_unequal_coefficient_lengths_zero_pad(self):
+        f = FourierFunction(1.0, [0.5, 0.25, 0.125], [2.0])
+        assert f.cos_coeffs.tolist() == [0.5, 0.25, 0.125]
+        assert f.sin_coeffs.tolist() == [2.0, 0.0, 0.0]
+        g = FourierFunction(1.0, 3.0, np.array([0.5, 0.25]))
+        assert g.cos_coeffs.tolist() == [3.0, 0.0]
+        assert g.sin_coeffs.tolist() == [0.5, 0.25]
+
+    def test_coefficients_are_copies(self):
+        # the equal-length case skips np.pad, which used to make the copy
+        a, b = np.array([0.5, 0.25]), np.array([1.0, 2.0])
+        f = FourierFunction(0.0, a, b)
+        a[0] = b[0] = 9.0
+        assert f.cos_coeffs.tolist() == [0.5, 0.25]
+        assert f.sin_coeffs.tolist() == [1.0, 2.0]
+
     def test_product_is_exact(self):
         f = FourierFunction.from_modes(cos={1: 1.0})
         fg = product(f, f)  # cos^2 = 1/2 + cos(2.)/2

@@ -130,6 +130,12 @@ class TestExtremumPrinciples:
         assert rep.inf_v > rep.inf_f + 1e-3
         assert rep.sup_v < rep.sup_f - 1e-3
 
+    def test_alpha_that_rounds_f_away_is_refused(self, dom):
+        # max|bump| = 1.5: 2**40 keeps max|f|/alpha above 2**-40, 1e16 does not
+        assert check_extremum_principles(cole_hopf(dom, bump(), 2.0**40, 0.05)).passed
+        with pytest.raises(ArithmeticError, match="alpha = 1e\\+16: max\\|f\\|/alpha"):
+            check_extremum_principles(cole_hopf(dom, bump(), 1e16, 0.05))
+
     def test_random_suite_passes(self, dom):
         rng = np.random.Generator(np.random.Philox(key=(61, 0)))
         for f in random_fourier_suite(61, 50):
