@@ -5,6 +5,12 @@ writes into a disjoint slice of preallocated output and owns its random
 streams, so the result is bitwise independent of the thread count.  A
 worker that needs bounded memory walks its slab in pieces of its own
 choosing.  DKLAB_THREADS caps the pool size (default: all cores).
+
+The threads gain only from work that releases the GIL, numpy's array
+loops.  Work that holds it for short stretches, such as a Python loop
+over random streams, runs slower on two threads that contend for it than
+on one; such a loop takes a lock of its own (rng._fill_normals), so that
+one thread runs it while the others run their numpy work.
 """
 
 from __future__ import annotations

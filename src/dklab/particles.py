@@ -27,7 +27,11 @@ most _CHUNK_BYTES) and the two complex moment arrays (twice that each).
 It walks its slab in pieces that fit those buffers, so a call holds about
 5 * _CHUNK_BYTES per thread whatever the replicate count, allocates and
 page-faults that memory once, and a piece's working set stays close to
-the L2 cache.
+the L2 cache.  The draws of a piece run one thread at a time
+(rng._fill_normals takes a lock: their per-stream Python work holds the
+GIL), while the cumulative sum and the Fourier moments, numpy work that
+releases the GIL, run alongside the other threads' draws.  On 2 cores
+that overlap took the pool from 1.33x to 1.6x over one thread.
 """
 
 from __future__ import annotations

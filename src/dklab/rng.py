@@ -19,13 +19,19 @@ in isolation.  There are two ways to draw:
 For count > 1, normals resets one Philox bit generator to each key in
 turn and lets numpy draw (_streams, _fill_normals); the path sampler in
 particles fills its position array through the same loop, so its draws
-need no array of their own.  For count == 1 it computes the draws for all
-keys at once: Philox is a pure function of (key, counter), so the first
-64-bit word of a stream is one Philox4x64-10 evaluation at counter
+need no array of their own.  For count == 1 it computes the draws for
+all keys at once: Philox is a pure function of (key, counter), so the
+first 64-bit word of a stream is one Philox4x64-10 evaluation at counter
 (1, 0, 0, 0), done here on uint64 arrays; numpy's ziggurat then turns
 that word into a normal on its fast path, with the tables frozen below.
 The keys whose word misses the fast path (about 1.5%) need further words
 and are drawn through the same reset bit generator (_streams).
+
+The per-stream loop of _fill_normals runs one thread at a time, under a
+lock.  Its Python work per stream holds the GIL, so threads that draw
+together trade the GIL on every stream: two of them ran at 0.75x the
+speed of the same draws made one after the other.  Under the lock, the
+other threads of a pool run their GIL-free numpy work meanwhile.
 
 The Philox kernel works in place: every ufunc writes into one of nine
 preallocated uint64 buffers, reused block after block, and the keys go
@@ -38,6 +44,7 @@ round 10 forms only its M1 high product.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +53,9 @@ _PARTICLE_BITS = 32
 REPLICATE_STRIDE = 1 << _PARTICLE_BITS
 
 _MASK64 = (1 << 64) - 1
+
+# serialises _fill_normals' per-stream loop across threads (see there)
+_DRAW_LOCK = threading.Lock()
 
 
 def _philox_state(seed: int, stream_id: int) -> dict:
@@ -117,11 +127,21 @@ def _fill_normals(seed: int, ids: np.ndarray, out: np.ndarray) -> None:
 
     out is float64 of shape (ids.size, count) with contiguous rows, such as
     a column slice of a C-ordered array.
+
+    The loop runs under _DRAW_LOCK, one thread at a time.  Each stream holds
+    the GIL for its Philox reset and the Python call (about 1.9 of 6.6 us
+    at 200 draws) and releases it for numpy's fill, so two threads drawing
+    at once hand the GIL back and forth on every stream: measured over
+    25 000 streams of 200 draws each, two concurrent calls ran at 0.75x the
+    speed of the same calls one after the other.  Under the lock, one
+    thread draws while the others do GIL-free numpy work (the path pool's
+    Fourier moments).  The draws do not depend on the order of calls.
     """
-    for row, gen in zip(out, _streams(seed, ids)):
-        # size is left out: numpy would check it against row.shape on every
-        # call, about 0.6 us a stream, and out= alone fixes the count
-        gen.standard_normal(out=row)
+    with _DRAW_LOCK:
+        for row, gen in zip(out, _streams(seed, ids)):
+            # size is left out: numpy would check it against row.shape on every
+            # call, about 0.6 us a stream, and out= alone fixes the count
+            gen.standard_normal(out=row)
 
 
 # -- first draws of many streams at once --------------------------------------

@@ -34,6 +34,10 @@ _FLOOR_EPS = 16 * np.finfo(float).eps  # residual floor, in units of max|V| / dt
 # extremum check was measured failing a correct solver only below 1.4e-15
 # (t >= 1e-4, 201 random functions, grids 16 and 64).
 _MIN_F_OVER_ALPHA = 2.0**-40
+# the extremum check's projection bound is this times alpha err / w_lo: at
+# t = 0 on grids 16 and 32 the measured violations reach 0.99999 of
+# alpha err / w_lo (1000 random functions, alpha 0.3 to 1000)
+_PROJECTION_MARGIN = 1.0625
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,10 @@ class VhjField:
 
     values = -alpha * log(exp_transform) on the grid; transform is the
     propagated Fourier representation of P_t exp(-f/alpha), positive
-    everywhere, and allows exact off-grid evaluation.
+    everywhere, and allows exact off-grid evaluation.  projection is the
+    unpropagated one, exp(-f/alpha) projected onto the grid's modes, and
+    projection_error its largest deviation from exp(-f/alpha) at the grid
+    points.
     """
 
     dom: TorusDomain
@@ -50,6 +57,7 @@ class VhjField:
     t: float
     f: FourierFunction
     transform: FourierFunction
+    projection: FourierFunction
     values: np.ndarray
     exp_transform: np.ndarray
     projection_error: float
@@ -106,6 +114,7 @@ def cole_hopf(
         t=float(t),
         f=f,
         transform=w,
+        projection=u0_hat,
         values=-alpha * np.log(wg),
         exp_transform=wg,
         projection_error=proj_err,
@@ -198,30 +207,53 @@ class ExtremumReport:
     sup_f: float
     inf_v: float
     sup_v: float
+    projection_bound: float
 
 
 def check_extremum_principles(field: VhjField, slack: float = 1e-12) -> ExtremumReport:
     """inf f <= inf V_t f and sup V_t f <= sup f on a 4x refined grid.
 
-    Both ranges are taken there by FourierFunction.extrema, so that each
-    trigonometric polynomial's true range is bounded safely; V_t f's is the
+    Both ranges are taken there, from one inverse FFT of each trigonometric
+    polynomial, so that its true range is bounded safely; V_t f's is the
     transform's range mapped through the decreasing w -> -alpha log w.
     An alpha so large that max|f| / alpha < 2**-40 raises ArithmeticError:
     -alpha log w then keeps fewer than 12 bits of f, and the verdict would
-    judge the rounding, not the solver.
+    judge the rounding, not the solver.  So does a transform that is not
+    positive on the refined grid, as cole_hopf does on its own grid.
+
+    The principles hold for the exact flow of exp(-f/alpha), while the
+    field propagates its projection onto the grid's modes.  The heat flow
+    is a positive contraction, so it moves w by at most the projection
+    error err = max|projection - exp(-f/alpha)|, and -alpha log w by at
+    most alpha err / w_lo.  err is taken on the refined grid, since on a
+    coarse grid the one at the grid points (projection_error) can miss it
+    by orders of magnitude; the slack is widened by that bound, with a
+    margin of _PROJECTION_MARGIN, and the report gives it as
+    projection_bound.
     """
-    n = _EXTREMA_OVERSAMPLE * field.dom.grid_size
-    inf_f, sup_f = field.f.extrema(n)
+    fine = TorusDomain(_EXTREMA_OVERSAMPLE * field.dom.grid_size)
+    f_fine = field.f.sample(fine)
+    inf_f, sup_f = float(f_fine.min()), float(f_fine.max())
     f_max = max(-inf_f, sup_f)  # max|f|
     if f_max < _MIN_F_OVER_ALPHA * field.alpha:
         raise ArithmeticError(
             f"alpha = {field.alpha}: max|f|/alpha = {f_max / field.alpha:.3g} is below "
             "2**-40, so -alpha log w cannot carry f to the extremum check"
         )
-    w_lo, w_hi = field.transform.extrema(n)
+    w = field.transform.sample(fine)
+    w_lo, w_hi = float(w.min()), float(w.max())
+    if not w_lo > 0:
+        raise ArithmeticError(
+            "propagated exponential transform lost positivity between grid points; "
+            "grid too coarse"
+        )
     inf_v, sup_v = (float(v) for v in -field.alpha * np.log([w_hi, w_lo]))
-    ok = (inf_f <= inf_v + slack) and (sup_v <= sup_f + slack)
-    return ExtremumReport(passed=ok, inf_f=inf_f, sup_f=sup_f, inf_v=inf_v, sup_v=sup_v)
+    err = float(np.max(np.abs(field.projection.sample(fine) - np.exp(-f_fine / field.alpha))))
+    bound = _PROJECTION_MARGIN * field.alpha * err / w_lo
+    tol = slack + bound
+    ok = (inf_f <= inf_v + tol) and (sup_v <= sup_f + tol)
+    return ExtremumReport(passed=ok, inf_f=inf_f, sup_f=sup_f, inf_v=inf_v, sup_v=sup_v,
+                          projection_bound=bound)
 
 
 @dataclass(frozen=True)

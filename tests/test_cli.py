@@ -103,6 +103,16 @@ class TestRuns:
         assert manifest["experiment"] == "duality"
         assert manifest["results_sha256"]
 
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        out = tmp_path / "vhj.csv"
+        src = str(pathlib.Path(dklab.__file__).parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "dklab", "vhj-check", "--alpha", "1", "--t", "0.05",
+             "--suite", "2", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert parse_manifest(str(out) + ".manifest")["experiment"] == "vhj-check"
+
     def test_pgf_fractional_writes_witness(self, tmp_path):
         out = tmp_path / "pgf.csv"
         code = run_cli(

@@ -1,5 +1,7 @@
 """Stream independence, determinism and distributional quality."""
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -109,6 +111,47 @@ def test_normals_match_fresh_streams():
     rng._fill_normals(seed, keys, x[:, 1:])
     assert np.isnan(x[:, 0]).all()
     assert np.array_equal(bits(x[:, 1:]), bits(reference_normals(seed, keys, steps)))
+
+
+@pytest.mark.parametrize("first", [lambda k: 100 * k, lambda k: 1000 * k],
+                         ids=["overlapping-ids", "disjoint-ids"])
+def test_concurrent_draws_equal_sequential(first):
+    # four threads on two cores, switching every microsecond: each
+    # normals(seed, ids, 200) returns what it returns when the calls run
+    # one after the other (300-replicate ranges 100 apart overlap)
+    seed, count = 2**63 + 17, 200
+    ids = [replicate_stream_ids(300, 2, first(k)).ravel() for k in range(4)]
+    want = [normals(seed, i, count) for i in ids]
+    got = [None] * len(ids)
+    start = threading.Barrier(len(ids))
+
+    def draw(k):
+        start.wait(timeout=60)
+        got[k] = normals(seed, ids[k], count)
+
+    threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(ids))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for g, w in zip(got, want):
+        assert g is not None and np.array_equal(bits(g), bits(w))
+
+
+def test_failed_fill_releases_the_draw_lock():
+    # the second row is float32, so numpy refuses it after the first stream
+    ids = np.arange(3, dtype=np.uint64)
+    rows = [np.empty(200), np.empty(200, dtype=np.float32), np.empty(200)]
+    with pytest.raises(TypeError, match="float64"):
+        rng._fill_normals(5, ids, rows)
+    assert not rng._DRAW_LOCK.locked()
+    assert np.array_equal(bits(normals(5, ids, 200)), bits(reference_normals(5, ids, 200)))
 
 
 def test_stream_keys_at_and_above_two_to_the_63():

@@ -1,5 +1,6 @@
 """Cole-Hopf solution properties: residual order, principles, gradient bounds."""
 
+import dataclasses
 import json
 import pathlib
 
@@ -142,6 +143,57 @@ class TestExtremumPrinciples:
             t = float(rng.uniform(0.0, 0.2))
             alpha = float(rng.uniform(0.5, 3.0))
             assert check_extremum_principles(cole_hopf(dom, f, alpha, t)).passed
+
+
+    @pytest.mark.parametrize("grid", [16, 32])
+    @pytest.mark.parametrize("t", [0.0, 1e-6])
+    def test_coarse_grid_projection_is_not_a_fail(self, grid, t):
+        # at t = 0 the principle holds with equality, and the projection of
+        # exp(-f/alpha) onto a coarse grid's modes moved V by up to 507x the
+        # projection error at the grid points: most of these failed before
+        dom = TorusDomain(grid)
+        for alpha in (1.0, 10.0):
+            for f in random_fourier_suite(7, 60):
+                assert check_extremum_principles(cole_hopf(dom, f, alpha, t)).passed
+
+    def test_coarse_grid_violations_sit_within_the_bound(self):
+        # the previous cases are not vacuous: at grid 16 and t = 0 the 1e-12
+        # slack alone fails more than half the suite
+        dom = TorusDomain(16)
+        violations = 0
+        for f in random_fourier_suite(7, 60):
+            rep = check_extremum_principles(cole_hopf(dom, f, 1.0, 0.0))
+            excess = max(rep.inf_f - rep.inf_v, rep.sup_v - rep.sup_f) - 1e-12
+            violations += excess > 0
+            assert excess <= rep.projection_bound
+        assert violations > 30
+
+    @pytest.mark.parametrize("grid", [64, 256])
+    def test_fine_grid_verdicts_unchanged(self, grid):
+        # the bound widens the 1e-12 slack by round-off only: each verdict is
+        # the one the slack alone gives
+        dom = TorusDomain(grid)
+        rng = np.random.Generator(np.random.Philox(key=(grid, 3)))
+        for f in random_fourier_suite(grid, 40):
+            rep = check_extremum_principles(
+                cole_hopf(dom, f, 1.0, float(rng.choice([0.0, 1e-6, 1e-4, 0.05]))))
+            alone = rep.inf_f <= rep.inf_v + 1e-12 and rep.sup_v <= rep.sup_f + 1e-12
+            assert rep.passed == alone
+            assert rep.projection_bound < 1e-12
+
+    def test_a_shifted_transform_still_fails(self, dom):
+        # V moved by alpha log(1.0001), about 1e-4, far above the bound
+        field = cole_hopf(dom, bump(), 1.0, 0.0)
+        rep = check_extremum_principles(dataclasses.replace(field, transform=field.transform * 1.0001))
+        assert not rep.passed
+        assert rep.projection_bound < 1e-12
+
+    def test_transform_not_positive_between_grid_points_is_refused(self):
+        dom = TorusDomain(16)
+        f = random_fourier_suite(0, 20)[9]
+        field = cole_hopf(dom, f, 0.3, 0.0)  # positive at the 16 grid points
+        with pytest.raises(ArithmeticError, match="between grid points"):
+            check_extremum_principles(field)
 
 
 class TestGradientEstimate:
