@@ -13,8 +13,8 @@ The config schema is written once, as the fields of RunConfig: the
 flags, the config-file keys, their defaults and the manifest's config
 echo are all read from them, and the argument parser is built from them
 once per process, on first use.  Flags override config-file values;
-DKLAB_THREADS caps the worker threads of the path and SPDE ensembles and
-never changes results.
+DKLAB_THREADS caps the worker threads of the martingale path ensemble,
+the only work that runs on threads, and never changes results.
 """
 
 from __future__ import annotations

@@ -602,6 +602,33 @@ def monte_carlo_pgf(
     )
 
 
+def _chi2_sf(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer df >= 1, in closed form.
+
+    With y = x / 2 and m = df // 2, the tail is a finite sum:
+    sum_(j<m) e^-y y^j / j! for even df, and
+    erfc(sqrt y) + sum_(j<m) e^-y y^(j+1/2) / Gamma(j + 3/2) for odd df.
+    Each term is taken in log space, so it does not underflow with e^-y
+    once y passes 708, and the terms are added by math.fsum.  Rounding can
+    take that sum a few ulp past 1 near x = 0, so it is capped at 1.
+    x <= 0 gives 1, x = inf gives 0, and NaN stays NaN.
+    """
+    if math.isnan(x):
+        return x
+    y = 0.5 * x
+    if y <= 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    m, odd = divmod(df, 2)
+    shift = 0.5 * odd
+    log_y = math.log(y)
+    terms = [math.exp((j + shift) * log_y - y - math.lgamma(j + shift + 1.0)) for j in range(m)]
+    if odd:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(1.0, math.fsum(terms))
+
+
 def compare_histogram(
     mc: PgfExpansion, reference: np.ndarray, replicates: int
 ) -> tuple[float, float]:
@@ -612,15 +639,12 @@ def compare_histogram(
     ValueError, and a statistic or p-value that is not finite raises
     ArithmeticError: neither can decide a verdict.
 
-    The statistic is Pearson's sum((o - e)**2 / e) over the merged bins and
-    the p-value the chi-square survival function chdtrc(bins - 1, stat).
-    That is the arithmetic of scipy.stats.chisquare in scipy 1.17 (its
-    power divergence at lambda 1, scored by special.chdtrc), so the two
-    agree bit for bit; but only scipy.special is imported, where
-    scipy.stats would add about 65 MB and 0.7 s to a cold run.
+    The statistic is Pearson's sum((o - e)**2 / e) over the merged bins,
+    with the arithmetic of scipy.stats.chisquare, so the two agree bit for
+    bit.  The p-value is the exact chi-square tail at bins - 1 degrees of
+    freedom, in closed form (_chi2_sf), good to about (1 + stat) rounding
+    errors relative; it needs no scipy.
     """
-    from scipy.special import chdtrc  # imported here: scipy dominates `import dklab` otherwise
-
     obs = mc.coefficients * replicates
     exp = np.asarray(reference, dtype=float) * replicates
     if exp.size != obs.size:
@@ -643,11 +667,11 @@ def compare_histogram(
             "replicates fill fewer"
         )
     keep_exp = np.array(keep_exp) * (sum(keep_obs) / sum(keep_exp))
-    stat = np.sum((np.asarray(keep_obs, dtype=np.float64) - keep_exp) ** 2 / keep_exp)
-    pvalue = chdtrc(keep_exp.size - 1, stat)
+    stat = float(np.sum((np.asarray(keep_obs, dtype=np.float64) - keep_exp) ** 2 / keep_exp))
+    pvalue = _chi2_sf(keep_exp.size - 1, stat)
     if not (math.isfinite(stat) and math.isfinite(pvalue)):
         raise ArithmeticError(f"chi-square statistic {stat}, p-value {pvalue} not finite")
-    return float(stat), float(pvalue)
+    return stat, pvalue
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 Everything here is deliberately brute force and shares no code path with
 the implementation under test: explicit finite differences for the PDEs,
 direct convolution for the Poisson binomial, quadrature against the
-periodized Gaussian kernel, and the defining spectral identity for the
-squared-gradient form.
+periodized Gaussian kernel, the defining spectral identity for the
+squared-gradient form, and the chi-square tail summed in 60-digit decimal
+arithmetic.
 """
 
 from __future__ import annotations
+
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.special import binom, erf
@@ -99,3 +103,60 @@ def gamma_by_defining_identity(f: FourierFunction, g: FourierFunction) -> Fourie
     glf = product(g, generator_L(f))
     half = 0.5
     return (lfg - flg - glf) * half
+
+
+def _decimal_pi() -> Decimal:
+    """pi at the current decimal precision, by Machin's formula."""
+
+    def arctan_inverse(k: int) -> Decimal:  # arctan(1/k) = sum (-1)^n / ((2n + 1) k^(2n+1))
+        power = Decimal(1) / k
+        total, n = power, 0
+        while True:
+            power /= -k * k
+            n += 1
+            step = power / (2 * n + 1)
+            if total + step == total:
+                return total
+            total += step
+
+    return 16 * arctan_inverse(5) - 4 * arctan_inverse(239)
+
+
+def chi2_sf_exact(df: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer df >= 1, in decimal arithmetic.
+
+    With y = x / 2 and m = df // 2 the tail is e^-y sum_(j<m) y^j / j! for
+    even df, and erfc(sqrt y) + e^-y sum_(j<m) y^(j+1/2) / Gamma(j + 3/2)
+    for odd df.  erfc is 1 - erf, with erf from its positive series
+    erf(z) = 2/sqrt(pi) e^-z^2 sum_n (2 z^2)^n z / (1 * 3 * ... * (2n + 1)).
+    1 - erf cancels about y / ln 10 leading digits, so the working
+    precision is 70 digits (60 and 10 guard digits) raised by that much.
+    """
+    if x <= 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 70 + int(x / (2.0 * math.log(10.0)))
+        y = Decimal(x) / 2
+        m, odd = divmod(df, 2)
+        decay = (-y).exp()
+        total = Decimal(0)
+        if odd:
+            sqrt_pi = _decimal_pi().sqrt()
+            z = y.sqrt()
+            series, term, n = Decimal(0), z, 0
+            while series + term != series:
+                series += term
+                n += 1
+                term = term * 2 * y / (2 * n + 1)
+            total = 1 - 2 / sqrt_pi * decay * series
+            power = z * 2 / sqrt_pi  # y^(1/2) / Gamma(3/2)
+            shift = Decimal(3) / 2
+        else:
+            power = Decimal(1)  # y^0 / Gamma(1)
+            shift = Decimal(1)
+        for j in range(m):
+            total += decay * power
+            power = power * y / (j + shift)
+        return float(total)

@@ -25,19 +25,20 @@ _CHILD_PROBE = (
     "from dklab.cli import main\n"
     "code = main(sys.argv[2:] + ['--out', sys.argv[1]])\n"
     "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-    "print(code, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules, hwm.split()[1])\n"
+    "scipy = any(name.startswith('scipy') for name in sys.modules)\n"
+    "print(code, scipy, hwm.split()[1])\n"
 )
 
 
 def run_child(argv, out):
-    """main(argv) in a fresh interpreter: (exit code, scipy.special loaded,
-    scipy.stats loaded, peak RSS in KiB, stderr)."""
+    """main(argv) in a fresh interpreter: (exit code, any scipy module
+    loaded, peak RSS in KiB, stderr)."""
     src = str(pathlib.Path(dklab.__file__).parents[1])
     res = subprocess.run([sys.executable, "-c", _CHILD_PROBE, str(out), *argv],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120)
-    code, special, stats, peak_kib = res.stdout.splitlines()[-1].split()
-    return int(code), special == "True", stats == "True", int(peak_kib), res.stderr
+    code, scipy, peak_kib = res.stdout.splitlines()[-1].split()
+    return int(code), scipy == "True", int(peak_kib), res.stderr
 
 
 def run_cli(argv):
@@ -239,22 +240,22 @@ class TestRefusals:
     def test_pgf_past_the_series_budget_is_refused_before_its_atoms(self, tmp_path):
         # 1e8 equally spaced atoms take 0.8 GB, so the refusal must come first
         out = tmp_path / "p.csv"
-        code, _, _, peak_kib, err = run_child(["pgf", "--alpha", "1e8", "--grid", "16"], out)
+        code, _, peak_kib, err = run_child(["pgf", "--alpha", "1e8", "--grid", "16"], out)
         assert code == 1
         assert err == ("dklab: alpha = 100000000.0: the mass check needs "
                        "p_0..p_floor(alpha), beyond the series budget (64)\n")
         assert peak_kib < 200 * 1024
         assert not out.exists()
 
-    def test_pgf_chi_square_loads_no_scipy_stats(self, tmp_path):
-        # the chi-square check needs only scipy.special; scipy.stats would
-        # add about 65 MB to the run
+    def test_pgf_chi_square_loads_no_scipy(self, tmp_path):
+        # the chi-square tail is computed in closed form; scipy.special
+        # alone would add about 18 MB to the run
         out = tmp_path / "p.csv"
-        code, special, stats, peak_kib, _ = run_child(
+        code, scipy, peak_kib, _ = run_child(
             ["pgf", "--alpha", "2", "--t", "0.05", "--replicates", "5000", "--seed", "42"], out)
-        assert (code, special, stats) == (0, True, False)
+        assert (code, scipy) == (0, False)
         assert any(row.startswith("chi-square,") for row in out.read_text().splitlines())
-        assert peak_kib < 80 * 1024
+        assert peak_kib < 50 * 1024
 
     def test_out_of_memory_is_refused(self, tmp_path, capsys, monkeypatch):
         def too_large(*args, **kwargs):

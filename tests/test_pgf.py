@@ -1,7 +1,12 @@
 """Generating-function extraction, verdicts and non-existence witnesses."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dklab import (
@@ -19,8 +24,24 @@ from dklab import (
     series_from_bernoulli,
     verdict_from_expansion,
 )
-from dklab.pgf import PgfExpansion, compare_histogram
-from oracles import generalized_binomial_pmf, poisson_binomial
+from dklab.pgf import PgfExpansion, _chi2_sf, compare_histogram
+from oracles import chi2_sf_exact, generalized_binomial_pmf, poisson_binomial
+
+EPS = np.finfo(float).eps
+
+
+def _random_histograms():
+    """2000 (frequencies, probabilities, replicates) with 2..65 bins.
+
+    Every expected count is at least 5, so compare_histogram merges no bin
+    and scores the histogram at p.size - 1 degrees of freedom.
+    """
+    rng = np.random.Generator(np.random.Philox(key=(14, 0)))
+    for _ in range(2000):
+        expected = np.exp(rng.uniform(np.log(5.0), np.log(1e5), rng.integers(2, 66)))
+        replicates = int(np.ceil(expected.sum())) + 1
+        p = expected / expected.sum()
+        yield rng.multinomial(replicates, p) / replicates, p, replicates
 
 
 @pytest.fixture(scope="module")
@@ -276,20 +297,64 @@ class TestMonteCarlo:
         assert pvalue > 0.001
 
     def test_chi_square_matches_scipy_bit_for_bit(self):
-        # compare_histogram computes Pearson's statistic and its p-value
-        # itself; scipy.stats.chisquare on the same bins is the reference.
-        # Every expected count is at least 5, so no bin is merged.
-        rng = np.random.Generator(np.random.Philox(key=(14, 0)))
-        for _ in range(2000):
-            expected = np.exp(rng.uniform(np.log(5.0), np.log(1e5), rng.integers(2, 66)))
-            replicates = int(np.ceil(expected.sum())) + 1
-            p = expected / expected.sum()
-            freq = rng.multinomial(replicates, p) / replicates
+        # compare_histogram computes Pearson's statistic itself;
+        # scipy.stats.chisquare on the same bins is the reference.
+        for freq, p, replicates in _random_histograms():
             obs, exp = list(freq * replicates), list(p * replicates)
             want = stats.chisquare(obs, np.array(exp) * (sum(obs) / sum(exp)))
-            got = compare_histogram(PgfExpansion(freq), p, replicates)
-            assert got == (float(want.statistic), float(want.pvalue))
+            stat, _ = compare_histogram(PgfExpansion(freq), p, replicates)
+            assert stat == float(want.statistic)
+
+    def test_chi_square_pvalue_is_the_exact_tail(self):
+        # scipy's chdtrc misses this bound; the closed form meets it
+        for freq, p, replicates in _random_histograms():
+            stat, pvalue = compare_histogram(PgfExpansion(freq), p, replicates)
+            ref = chi2_sf_exact(p.size - 1, stat)
+            assert abs(pvalue - ref) <= 2.0 * (1.0 + stat) * EPS * ref
 
     def test_non_integer_alpha_refused(self, occ_15):
         with pytest.raises(ValueError, match="non-integer"):
             monte_carlo_pgf(1.5, EmpiricalMeasure([0.5]), occ_15, 100, seed=1)
+
+
+@functools.cache
+def _far_quantile(df: int) -> float:
+    """x with Q(x) = 1e-250 at df degrees of freedom, by bisection on _chi2_sf.
+
+    It only bounds the sampled x, so taking it from the function under
+    test does not weaken the checks against the oracle below.
+    """
+    lo, hi = 0.0, 2.0 * df + 64.0
+    while _chi2_sf(df, hi) > 1e-250:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _chi2_sf(df, mid) > 1e-250 else (lo, mid)
+    return hi
+
+
+class TestChiSquareTail:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(df=st.integers(1, 64), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+    def test_near_the_exact_tail_and_never_rising(self, df, u, v):
+        x, x_far = sorted((u * _far_quantile(df), v * _far_quantile(df)))
+        q, q_far = _chi2_sf(df, x), _chi2_sf(df, x_far)
+        for at, got in ((x, q), (x_far, q_far)):
+            ref = chi2_sf_exact(df, at)
+            assert abs(got - ref) <= 2.0 * (1.0 + at) * EPS * ref
+        # non-increasing, up to the rounding the bound above allows
+        assert q_far <= q * (1.0 + 4.0 * (1.0 + x_far) * EPS)
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 64])
+    def test_ends_of_the_range(self, df):
+        assert _chi2_sf(df, 0.0) == 1.0
+        assert _chi2_sf(df, -1.0) == 1.0
+        assert _chi2_sf(df, math.inf) == 0.0
+        assert math.isnan(_chi2_sf(df, math.nan))
+
+    @pytest.mark.parametrize("df, x", [(63, 1420.0), (64, 1500.0), (40, 1450.0)])
+    def test_past_the_underflow_of_exp_minus_y(self, df, x):
+        # y = x / 2 > 708, so e^-y underflows while the tail is still normal
+        ref = chi2_sf_exact(df, x)
+        assert ref > 1e-300
+        assert abs(_chi2_sf(df, x) - ref) <= 2.0 * (1.0 + x) * EPS * ref

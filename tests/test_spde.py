@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import dklab.parallel
+import dklab.spde
 from dklab import (
     FourierFunction,
     TorusDomain,
@@ -14,6 +16,7 @@ from dklab import (
     stability_limit,
     step,
 )
+from dklab.rng import REPLICATE_STRIDE
 from dklab.spde import evolve
 
 
@@ -164,6 +167,23 @@ class TestNegativity:
             medians.append(rep.median_step)
         assert medians[0] >= medians[1] >= medians[2]
         assert medians[0] > medians[2]
+
+    def test_members_run_on_the_calling_thread(self, dom, monkeypatch):
+        # member r owns stream (seed, r * 2**32), so its record is
+        # first_negativity on that stream alone, whatever runs the members
+        def no_pool(*args, **kwargs):
+            raise AssertionError("negativity_ensemble handed its members to run_chunked")
+
+        monkeypatch.setattr(dklab.spde, "run_chunked", no_pool)
+        monkeypatch.setattr(dklab.parallel, "run_chunked", no_pool)
+        alpha = 1.5
+        dt = 0.5 * stability_limit(dom, alpha)
+        rep = negativity_ensemble(dom, alpha, dt, seeds=6, max_steps=100, seed=12, noise_scale=0.04)
+        fld = make_field(dom, 1.0, dt, alpha)
+        assert rep.hit_records == [
+            first_negativity(fld, alpha, 100, RngStream(12, r * REPLICATE_STRIDE), 0.04)
+            for r in range(6)
+        ]
 
     def test_reports_step_and_cell(self, dom):
         alpha = 1.5
