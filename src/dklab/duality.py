@@ -12,7 +12,7 @@ errors.  Verdicts use the 3-sigma convention; a sweep therefore carries a
 small expected false-failure budget, and callers should judge pass rates
 at the sweep level rather than flinch at single cells.
 
-Antithetic increments are on by default: replicate pairs share one set of
+Antithetic increments are always used: replicate pairs share one set of
 Gaussian draws with opposite signs, the estimator averaging first within
 pairs.  This touches only the estimator variance, never the particle law.
 """
@@ -71,7 +71,6 @@ def run_duality_test(
     replicates: int,
     seed: int,
     dom: TorusDomain | None = None,
-    antithetic: bool = True,
     f_id: str = "f",
 ) -> DualityReport:
     """Score one (alpha, t, f) cell of the duality identity.
@@ -88,7 +87,8 @@ def run_duality_test(
     t : float
         Nonnegative time.
     replicates : int
-        Number of sampled replicates; must be even when antithetic.
+        Number of sampled replicates: an even count of at least 4, so
+        that the replicate pairs give a standard error.
     seed : int
         Stream seed; replicate r, particle i uses stream r * 2**32 + i.
 
@@ -98,20 +98,18 @@ def run_duality_test(
     """
     n = require_integer_alpha(alpha, mu0.n)
     _check_spread(n, t)
+    if replicates % 2 or replicates < 4:
+        raise ValueError(
+            f"replicates: {replicates} given; the antithetic estimator needs an "
+            "even count of at least 4 (2 pairs) for a standard error"
+        )
     dom = dom or TorusDomain(256)
-    if antithetic and replicates % 2:
-        raise ValueError("antithetic estimation needs an even replicate count")
     rhs = laplace_rhs(dom, mu0, f, n, t)
 
-    base = replicates // 2 if antithetic else replicates
-    sigma = np.sqrt(n * t)
-    xi = standard_increments(n, base, seed)
-    if antithetic:
-        vplus = np.exp(-f.evaluate(wrap(mu0.positions[None, :] + sigma * xi)).mean(axis=1))
-        vminus = np.exp(-f.evaluate(wrap(mu0.positions[None, :] - sigma * xi)).mean(axis=1))
-        values = 0.5 * (vplus + vminus)
-    else:
-        values = np.exp(-f.evaluate(wrap(mu0.positions[None, :] + sigma * xi)).mean(axis=1))
+    step = np.sqrt(n * t) * standard_increments(n, replicates // 2, seed)
+    vplus = np.exp(-f.evaluate(wrap(mu0.positions + step)).mean(axis=1))
+    vminus = np.exp(-f.evaluate(wrap(mu0.positions - step)).mean(axis=1))
+    values = 0.5 * (vplus + vminus)
     mc_mean = float(np.mean(values))
     mc_stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
     z = z_score("z", mc_mean, rhs, mc_stderr)

@@ -96,6 +96,8 @@ class EmpiricalMeasure:
         p = np.atleast_1d(np.asarray(self.positions, dtype=float))
         if p.ndim != 1 or p.size == 0:
             raise ValueError("positions must be a nonempty 1-D array")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"positions must be finite, got {p[~np.isfinite(p)][0]}")
         object.__setattr__(self, "positions", wrap(p))
 
     @property

@@ -192,30 +192,13 @@ class GeneratingFunction:
         return out if out.shape else float(out)
 
 
-def build_g(alpha: float, mu0, occ: OccupationFunction) -> GeneratingFunction:
-    """Generating-function evaluator for X = alpha * mu_t(A).
-
-    mu0 may be an EmpiricalMeasure (atoms, uniform weights) or a
-    FourierFunction probability density (mean 1, nonnegative); densities
-    are integrated with the uniform grid rule of the occupation's domain,
-    on the samples of mu0 and of h at its grid points.
-    """
+def build_g(alpha: float, mu0: EmpiricalMeasure, occ: OccupationFunction) -> GeneratingFunction:
+    """Generating-function evaluator for X = alpha * mu_t(A), mu0 atomic."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if isinstance(mu0, EmpiricalMeasure):
-        h_at = occ.evaluate(mu0.positions)
-        w = np.full(mu0.n, 1.0 / mu0.n)
-    elif isinstance(mu0, FourierFunction):
-        dens = mu0.sample(occ.dom)
-        if np.any(dens < -1e-12):
-            raise ValueError("density must be nonnegative")
-        if abs(mu0.mean - 1.0) > 1e-12:
-            raise ValueError("density must integrate to 1")
-        h_at = occ.h_values
-        w = dens / dens.size
-    else:
-        raise TypeError("mu0 must be an EmpiricalMeasure or a FourierFunction density")
-    return GeneratingFunction(alpha, w, h_at, occ.delta)
+    return GeneratingFunction(
+        alpha, np.full(mu0.n, 1.0 / mu0.n), occ.evaluate(mu0.positions), occ.delta
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +674,13 @@ def mass_slope_probe(
     fitted slope tends to alpha.  Because h < 1 strictly, the true slope
     decays to 0 as s -> 0+, so the fit window must keep s well above
     1 - h; the window, 12 log-spaced points on [0.3, 1], does for
-    coverages up to 0.99.  Initial mass is uniform.
+    coverages up to 0.99.  Initial mass is uniform: one atom at each point
+    of the grid, the uniform grid rule.
     """
     dom = dom or TorusDomain(256)
     gap = 1.0 - coverage
     occ = occupation(dom, [(gap / 2, 1.0 - gap / 2)], t, alpha)
-    g = build_g(alpha, FourierFunction.constant(1.0), occ)
+    g = build_g(alpha, EmpiricalMeasure(dom.grid()), occ)
     svals = np.exp(np.linspace(np.log(0.3), np.log(1.0), 12))
     slope = np.polyfit(np.log(svals), np.log([g(x) for x in svals]), 1)[0]
     return float(slope)

@@ -8,8 +8,8 @@ whose unique classical solution is v(t) = -alpha * log(P_t exp(-f/alpha))
 with P_t the heat flow of generator (alpha/2) Laplacian.  exp(-f/alpha) is
 not a finite Fourier sum, so it is sampled on the domain grid and projected
 onto modes up to grid_size/2 - 1; for smooth periodic data on a grid of at
-least 256 cells the measured projection error sits near round-off, and it
-is recorded on the field rather than assumed away.
+least 256 cells the measured projection error sits near round-off, and the
+field reports it (VhjField.projection_error) rather than assuming it away.
 
 Beyond the solution itself, this module certifies the properties the
 analysis leans on: the PDE residual vanishes at second order in the
@@ -21,6 +21,7 @@ factor).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,7 @@ class VhjField:
     values = -alpha * log(exp_transform) on the grid; transform is the
     propagated Fourier representation of P_t exp(-f/alpha), positive
     everywhere, and allows exact off-grid evaluation.  projection is the
-    unpropagated one, exp(-f/alpha) projected onto the grid's modes, and
-    projection_error its largest deviation from exp(-f/alpha) at the grid
-    points.
+    unpropagated one, exp(-f/alpha) projected onto the grid's modes.
     """
 
     dom: TorusDomain
@@ -60,7 +59,20 @@ class VhjField:
     projection: FourierFunction
     values: np.ndarray
     exp_transform: np.ndarray
-    projection_error: float
+
+    @functools.cached_property
+    def projection_error(self) -> float:
+        """max|projection - exp(-f/alpha)| on the 4x refined grid.
+
+        The heat flow is a positive contraction, so it moves w by at most
+        this, and V_t f = -alpha log w by at most alpha err / w_lo.  It is
+        taken between the grid points, since at them the projection
+        interpolates exp(-f/alpha) and the gap reads round-off even on a
+        coarse grid that misses it by orders of magnitude.
+        """
+        fine = TorusDomain(_EXTREMA_OVERSAMPLE * self.dom.grid_size)
+        exact = np.exp(-self.f.sample(fine) / self.alpha)
+        return float(np.max(np.abs(self.projection.sample(fine) - exact)))
 
     def evaluate(self, x):
         """V_t f at arbitrary points, through the propagated transform."""
@@ -101,7 +113,6 @@ def cole_hopf(
         raise ValueError(f"t must be nonnegative, got {t}")
     u0 = np.exp(-f.sample(dom) / alpha)
     u0_hat = FourierFunction.from_grid(u0, max_mode=dom.max_mode)
-    proj_err = float(np.max(np.abs(u0_hat.sample(dom) - u0)))
     w = heat_semigroup(u0_hat, diffusivity=alpha, t=t)
     wg = w.sample(dom)
     if np.any(wg <= 0):
@@ -117,7 +128,6 @@ def cole_hopf(
         projection=u0_hat,
         values=-alpha * np.log(wg),
         exp_transform=wg,
-        projection_error=proj_err,
     )
 
 
@@ -225,11 +235,9 @@ def check_extremum_principles(field: VhjField, slack: float = 1e-12) -> Extremum
     field propagates its projection onto the grid's modes.  The heat flow
     is a positive contraction, so it moves w by at most the projection
     error err = max|projection - exp(-f/alpha)|, and -alpha log w by at
-    most alpha err / w_lo.  err is taken on the refined grid, since on a
-    coarse grid the one at the grid points (projection_error) can miss it
-    by orders of magnitude; the slack is widened by that bound, with a
-    margin of _PROJECTION_MARGIN, and the report gives it as
-    projection_bound.
+    most alpha err / w_lo, with err = field.projection_error, taken on the
+    same refined grid; the slack is widened by that bound, with a margin of
+    _PROJECTION_MARGIN, and the report gives it as projection_bound.
     """
     fine = TorusDomain(_EXTREMA_OVERSAMPLE * field.dom.grid_size)
     f_fine = field.f.sample(fine)
@@ -248,8 +256,7 @@ def check_extremum_principles(field: VhjField, slack: float = 1e-12) -> Extremum
             "grid too coarse"
         )
     inf_v, sup_v = (float(v) for v in -field.alpha * np.log([w_hi, w_lo]))
-    err = float(np.max(np.abs(field.projection.sample(fine) - np.exp(-f_fine / field.alpha))))
-    bound = _PROJECTION_MARGIN * field.alpha * err / w_lo
+    bound = _PROJECTION_MARGIN * field.alpha * field.projection_error / w_lo
     tol = slack + bound
     ok = (inf_f <= inf_v + tol) and (sup_v <= sup_f + tol)
     return ExtremumReport(passed=ok, inf_f=inf_f, sup_f=sup_f, inf_v=inf_v, sup_v=sup_v,

@@ -448,6 +448,26 @@ def test_pgf_refuses_with_no_table_and_no_warning(argv, tmp_path, monkeypatch, c
     assert capsys.readouterr().err.startswith("dklab: ")
 
 
+@pytest.mark.parametrize("argv, cause", [
+    # one antithetic pair gives no standard error
+    (["duality", "--alpha", "2", "--replicates", "2"], "replicates: 2 given"),
+    # a non-finite atom is refused as an input, before any work on it
+    (["martingale", "--alpha", "1", "--mu0", "inf", "--replicates", "200"], "positions"),
+    (["pgf", "--alpha", "2", "--mu0", "0.1,-inf", "--replicates", "100"], "positions"),
+    (["duality", "--alpha", "2", "--mu0", "0.5,nan"], "positions"),
+    (["pgf", "--alpha", "1.5", "--mu0", "nan"], "positions"),
+])
+def test_refused_up_front_with_no_numpy_warning(argv, cause, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", "r.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dklab: ") and err.count("\n") == 1, err
+    assert cause in err, err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def _vhj_rows(t, tmp_path):
     assert main(["vhj-check", "--alpha", "1", "--suite", "2", "--t", t,
                  "--out", str(tmp_path / "v.csv")]) == 0

@@ -11,7 +11,6 @@ from scipy import stats
 
 from dklab import (
     EmpiricalMeasure,
-    FourierFunction,
     PrecisionLossError,
     TorusDomain,
     atomicity_verdict,
@@ -120,8 +119,8 @@ class TestGeneratingFunction:
         assert np.all((vals > 0) & (vals < 1))
 
     def test_uniform_density_route(self, occ_15):
-        g = build_g(1.5, FourierFunction.constant(1.0), occ_15)
-        # <mu0, log(1-h)> with uniform mass: plain grid average
+        g = build_g(1.5, EmpiricalMeasure(occ_15.dom.grid()), occ_15)
+        # <mu0, log(1-h)> with one atom per grid point: plain grid average
         expected = np.exp(1.5 * np.mean(np.log1p(-occ_15.h_values)))
         assert abs(g(0.0) - expected) < 1e-12
 

@@ -18,6 +18,7 @@ from dklab import (
     residual_from_fields,
     vhj_residual,
 )
+from dklab.vhj import _PROJECTION_MARGIN
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "frozen.json"
 
@@ -48,6 +49,18 @@ class TestColeHopf:
         field = cole_hopf(dom, f, 1.0, 0.0)
         assert np.max(np.abs(field.values - f.sample(dom))) < 1e-8
         assert field.projection_error < 1e-10
+
+    @pytest.mark.parametrize("grid", [16, 32])
+    def test_projection_error_bounds_the_flow(self, grid):
+        # at t = 0 the flow is the projection itself, so -log w - f is the
+        # projection's whole effect on V; the error at the grid points alone
+        # reads round-off there and bounds none of it
+        fine = TorusDomain(4 * grid)
+        for f in random_fourier_suite(5, 20):
+            field = cole_hopf(TorusDomain(grid), f, 1.0, 0.0)
+            w = field.transform.sample(fine)
+            gap = float(np.max(np.abs(-np.log(w) - f.sample(fine))))
+            assert gap <= _PROJECTION_MARGIN * field.projection_error / float(w.min())
 
     def test_invalid_alpha_rejected(self, dom):
         with pytest.raises(ValueError, match="alpha"):
