@@ -15,6 +15,23 @@ at the sweep level rather than flinch at single cells.
 Antithetic increments are always used: replicate pairs share one set of
 Gaussian draws with opposite signs, the estimator averaging first within
 pairs.  This touches only the estimator variance, never the particle law.
+
+Both members of a pair are paired with f from one cos and one sin of the
+increment s.  With a_k, b_k the mode-k coefficients of f,
+
+    f(x0 + s) = mean + sum_k c_k(x0) cos 2 pi k s + d_k(x0) sin 2 pi k s,
+    f(x0 - s) = mean + sum_k c_k(x0) cos 2 pi k s - d_k(x0) sin 2 pi k s,
+
+where c_k = a_k cos 2 pi k x0 + b_k sin 2 pi k x0 and d_k = b_k cos 2 pi k
+x0 - a_k sin 2 pi k x0 are tabled once per cell, at every atom.  The
+turns s - rint s are exact, their cos and sin are taken on a quarter
+turn (_cos_sin_turns), and the higher modes follow by the angle-addition
+recurrence.  No sum x0 + s is ever rounded, so the pairing keeps its
+accuracy at large alpha t, where f(wrap(x0 + s)) loses the bits of x0
+that the rounding of x0 + s drops.  The pairs are walked in pieces of at
+most _PIECE_BYTES of draws, and a cell keeps only its 8-byte value per
+pair; every sum runs within a pair, so a value does not depend on the
+piece it fell in.
 """
 
 from __future__ import annotations
@@ -31,8 +48,14 @@ from .particles import (
     z_score,
 )
 from .rng import derive_seed
-from .torus import FourierFunction, TorusDomain, wrap
+from .torus import TWO_PI, FourierFunction, TorusDomain
 from .vhj import cole_hopf
+
+# Bytes of draws (8 a key) in one piece of a duality cell: 2**14 keys.  A
+# piece's pairing holds about six arrays of its draws' size, so the cap,
+# not the replicate count, sets a cell's working memory; pieces of 2**15
+# and 2**16 keys ran the criterion-1 grid no faster and peaked higher.
+_PIECE_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -63,6 +86,98 @@ def laplace_rhs(
     return float(np.exp(-np.mean(field.evaluate(mu0.positions))))
 
 
+def _turns(k, x):
+    """k x - rint(k x), in [-1/2, 1/2], for integers k < 2**26 and floats x,
+    to one rounding.
+
+    x is split into two halves of at most 26 significant bits (Veltkamp),
+    so that k times either half is exact, and so is taking the nearest
+    integer off the first product.
+    """
+    hi = x * 134217729.0  # 2**27 + 1
+    hi = hi - (hi - x)
+    head = k * hi
+    turns = (head - np.rint(head)) + k * (x - hi)
+    return turns - np.rint(turns)
+
+
+def _shift_table(f: FourierFunction, x0: np.ndarray):
+    """(modes, c, d) for the modes of f with a nonzero coefficient.
+
+    Row j of c and d holds, at every atom x0_i, the coefficients of
+    cos 2 pi k s and sin 2 pi k s in the mode-k term of f(x0_i + s), k =
+    modes[j] (see the module docstring).
+    """
+    a, b = f.cos_coeffs, f.sin_coeffs
+    live = np.flatnonzero((a != 0.0) | (b != 0.0))
+    a, b = a[live, None], b[live, None]
+    c, s = _cos_sin_turns(_turns((live + 1)[:, None], x0))
+    return live + 1, a * c + b * s, b * c - a * s
+
+
+def _cos_sin_turns(r: np.ndarray):
+    """(cos 2 pi r, sin 2 pi r) for turns r in [-1/2, 1/2]; r is overwritten.
+
+    r is split, exactly, into its nearest quarter turn q and a rest in
+    [-1/8, 1/8] turns, so libm's cos and sin see only [-pi/4, pi/4], where
+    they run about three times faster than on [-pi, pi].  The quarter turn
+    is then an exact rotation, by cos(q pi/2) = 1 - |q| and sin(q pi/2) =
+    q (2 - |q|) for q in {-2, ..., 2}.
+    """
+    r *= 4.0
+    q = np.rint(r)
+    r -= q
+    r *= TWO_PI / 4
+    cos_r = np.cos(r)
+    sin_r = np.sin(r, out=r)
+    cos_q = np.abs(q)
+    scratch = np.subtract(2.0, cos_q)
+    sin_q = np.multiply(q, scratch, out=q)
+    np.subtract(1.0, cos_q, out=cos_q)
+    np.multiply(sin_r, sin_q, out=scratch)
+    sin_r *= cos_q
+    sin_q *= cos_r
+    sin_r += sin_q
+    cos_r *= cos_q
+    cos_r -= scratch
+    return cos_r, sin_r
+
+
+def _antithetic_pairings(mean: float, shifts, step: np.ndarray):
+    """(<mu^+, f>, <mu^-, f>) of each pair, the atoms moved by +step and -step.
+
+    step has one row per pair and one column per atom, and is overwritten;
+    shifts is _shift_table(f, atoms).  Each pair is summed on its own
+    (einsum, no BLAS), so its values do not depend on how many pairs come
+    with it.
+    """
+    modes, c, d = shifts
+    pairs, n = step.shape
+    even = np.zeros(pairs)  # sum over modes and atoms of c_k cos 2 pi k s
+    odd = np.zeros(pairs)  # and of d_k sin 2 pi k s
+    if modes.size:
+        step -= np.rint(step)
+        c1, s1 = _cos_sin_turns(step)
+        ck, sk = c1, s1
+        if modes[-1] > 1:  # the recurrence's own arrays
+            ck, sk = c1.copy(), s1.copy()
+            cs, ss = np.empty_like(c1), np.empty_like(c1)
+        row = 0
+        for k in range(1, modes[-1] + 1):
+            if k > 1:  # (ck, sk) <- mode k from mode k - 1
+                np.multiply(ck, s1, out=cs)
+                np.multiply(sk, s1, out=ss)
+                ck *= c1
+                ck -= ss
+                sk *= c1
+                sk += cs
+            if k == modes[row]:
+                even += np.einsum("pi,i->p", ck, c[row])
+                odd += np.einsum("pi,i->p", sk, d[row])
+                row += 1
+    return mean + (even + odd) / n, mean + (even - odd) / n
+
+
 def run_duality_test(
     alpha: int,
     mu0: EmpiricalMeasure,
@@ -90,11 +205,12 @@ def run_duality_test(
         Number of sampled replicates: an even count of at least 4, so
         that the replicate pairs give a standard error.
     seed : int
-        Stream seed; replicate r, particle i uses stream r * 2**32 + i.
+        Stream seed; pair r, particle i uses stream r * 2**32 + i, whose
+        one draw the pair's two replicates take with opposite signs.
 
     Scored by particles.z_score: a non-finite cell raises ValueError, as
-    does alpha t past 2**38, where the wrapped positions would keep fewer
-    than 30 fractional bits.
+    does alpha t past 2**38, where the increments would keep fewer than 30
+    fractional bits.
     """
     n = require_integer_alpha(alpha, mu0.n)
     _check_spread(n, t)
@@ -106,10 +222,16 @@ def run_duality_test(
     dom = dom or TorusDomain(256)
     rhs = laplace_rhs(dom, mu0, f, n, t)
 
-    step = np.sqrt(n * t) * standard_increments(n, replicates // 2, seed)
-    vplus = np.exp(-f.evaluate(wrap(mu0.positions + step)).mean(axis=1))
-    vminus = np.exp(-f.evaluate(wrap(mu0.positions - step)).mean(axis=1))
-    values = 0.5 * (vplus + vminus)
+    pairs = replicates // 2
+    shifts = _shift_table(f, mu0.positions)
+    values = np.empty(pairs)
+    width = max(1, _PIECE_BYTES // (8 * n))
+    for lo in range(0, pairs, width):
+        hi = min(pairs, lo + width)
+        step = standard_increments(n, hi - lo, seed, lo)
+        step *= np.sqrt(n * t)
+        plus, minus = _antithetic_pairings(f.mean, shifts, step)
+        values[lo:hi] = 0.5 * (np.exp(-plus) + np.exp(-minus))
     mc_mean = float(np.mean(values))
     mc_stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
     z = z_score("z", mc_mean, rhs, mc_stderr)

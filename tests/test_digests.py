@@ -12,12 +12,20 @@ moved when the chi-square p-value became the closed-form tail in place of
 scipy's chdtrc (was 911f3aa7...b465d08b301): its p-value went from
 0.3109870613201613 to 0.31098706132016124, which is exp(-stat / 2) at 2
 degrees of freedom correctly rounded, so the new number is closer to
-exact; the statistic and the verdict are unchanged.  All other pins are
-unchanged since the seed import; the pgf several-blocks pin, also at 2
-degrees of freedom, held because chdtrc had rounded its p-value
-correctly.  The two "several-blocks" pins were recorded before the
-one-draw Philox kernel went in place over larger blocks, and hold the new
-kernel to the old one's bits.
+exact; the statistic and the verdict are unchanged.  duality and
+duality-several-blocks moved by round-off when each antithetic pair was
+paired with f from one cos and sin of its increment, in place of f at
+wrap(x0 + s) and wrap(x0 - s) (were 6bfb9d5c...a8167d and
+7c840052...d85faa): across their six rows z moved by at most 3.5e-14,
+mc_mean by at most 5.6e-17 (1.2e-16 relative) and mc_stderr by at most
+2.2e-19 (3.9e-16 relative); the rhs and every verdict are unchanged, and
+the new pairing is the more accurate one, since it never rounds x0 + s.
+All other pins are unchanged since the seed import; the pgf
+several-blocks pin, also at 2 degrees of freedom, held because chdtrc had
+rounded its p-value correctly.  The two "several-blocks" pins were
+recorded before the one-draw Philox kernel went in place over larger
+blocks; the pgf one still holds the new kernel to the old one's bits, and
+the duality one did until the re-pin above.
 """
 
 import pytest
@@ -27,12 +35,12 @@ from dklab.cli import main, parse_manifest
 CASES = {
     "duality": (
         ["duality", "--alpha", "2", "--t", "0.02", "--replicates", "4000", "--seed", "3"],
-        "6bfb9d5c6f1077f4970a0015a4fede7b2a87bc9bdf8af1e7d2b8ebe382a8167d",
+        "8232bf302181a961cee497793e1931fd9efb5f23c8db831e1c06d467c6937199",
     ),
     # 5 * 10**4 one-draw keys per cell: several blocks of rng.standard_normals
     "duality-several-blocks": (
         ["duality", "--alpha", "5", "--t", "0.02", "--replicates", "20000", "--seed", "3"],
-        "7c840052245445ec782bf8490df3cd2e000237d1653a58aedc30d6a208d85faa",
+        "267d05f595e914ca2d22235b8cd3f51cf0b3530a7aabf5b05cf49f3a780917a8",
     ),
     "martingale": (
         ["martingale", "--alpha", "2", "--t", "0.02", "--replicates", "2000",

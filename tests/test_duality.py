@@ -1,8 +1,11 @@
 """Laplace-duality Monte Carlo against the Cole-Hopf right-hand side."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dklab import duality
 from dklab import (
     EmpiricalMeasure,
     FourierFunction,
@@ -13,6 +16,7 @@ from dklab import (
     run_duality_test,
     sweep,
 )
+from dklab.torus import wrap
 from oracles import kernel_quadrature
 
 
@@ -93,6 +97,106 @@ class TestSingleCell:
         rg = run_duality_test(2, mu0, g, 0.05, 4000, 8, dom=dom)
         assert rg.mc_mean < rf.mc_mean
         assert rg.rhs < rf.rhs
+
+
+class TestPieces:
+    """The pairs of a cell are walked in pieces of at most _PIECE_BYTES of draws."""
+
+    @pytest.mark.parametrize("n", [3, 9])
+    def test_piece_size_does_not_change_the_report(self, dom, n, monkeypatch):
+        # 1001 pairs; n = 9 puts more atoms in a pair than numpy sums in
+        # one unrolled block, so a sum over atoms that depended on the
+        # number of pairs in its piece would show
+        f = FourierFunction.from_modes(mean=0.4, cos={1: 0.3, 4: -0.2}, sin={2: 0.25, 5: 0.1})
+        args = (n, equally_spaced_atoms(n), f, 0.03, 2002, 2**63 + 5)
+        want = run_duality_test(*args, dom=dom)
+        # a pair a piece, then 333 pairs (a last piece of 2), then 7 (143 full pieces)
+        for piece_bytes in (1, 8 * n * 333 + 5, 8 * n * 7):
+            monkeypatch.setattr(duality, "_PIECE_BYTES", piece_bytes)
+            assert run_duality_test(*args, dom=dom) == want
+
+    def test_peak_memory_does_not_grow_with_replicates(self, dom):
+        # n = 2: pieces of 8192 pairs, so both runs take many full pieces
+        mu0 = equally_spaced_atoms(2)
+        f = default_f_suite()[2][1]
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                run_duality_test(2, mu0, f, 0.05, replicates, 12, dom=dom)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # first-call allocations are not piece memory
+        small, large = peak(2 * 10**5), peak(4 * 10**5)
+        values = 8 * (4 * 10**5 - 2 * 10**5) // 2  # one float64 a pair
+        assert large - small <= values + 64 * 1024
+
+
+def pairings_long_double(f, x0, step):
+    """mean_i f(x0_i +- s_i) in long double, for float64 atoms and steps.
+
+    x0 + (s - rint s) is exact in a 64-bit significand, and k x is reduced
+    by its nearest integer before it is scaled by 2 pi.
+    """
+    ld = np.longdouble
+    two_pi = 2 * np.arccos(ld(-1))
+    turns = (step - np.rint(step)).astype(ld)
+    out = []
+    for sign in (1, -1):
+        x = x0.astype(ld) + sign * turns
+        acc = np.full(x.shape, ld(f.mean))
+        for k in range(1, f.max_mode + 1):
+            kx = k * x
+            ang = two_pi * (kx - np.rint(kx))
+            acc += ld(f.cos_coeffs[k - 1]) * np.cos(ang) + ld(f.sin_coeffs[k - 1]) * np.sin(ang)
+        out.append(acc.mean(axis=1))
+    return out
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit long double significand"
+)
+class TestPairingAccuracy:
+    """The antithetic pairing against a long-double reference of f(x0 +- s).
+
+    The unit is eps (|mean| + sum_k |a_k| + |b_k|), with every coefficient
+    uniform on [-1, 1] and no decay in k.  The error of mode k grows like
+    k eps, from the rounding of the angle, so a function carried by its
+    top mode alone sees more: up to about 20 units at mode 64 alone,
+    where f(wrap(x0 + s)) sees over 100 even at small alpha t.
+    """
+
+    TIMES = 10.0 ** np.arange(-4, 7)  # alpha t
+    PAIRS = 12  # a time
+
+    def worst(self):
+        rng = np.random.Generator(np.random.Philox(key=(19, 5)))
+        eps = np.finfo(float).eps
+        new, old = np.zeros(self.TIMES.size), np.zeros(self.TIMES.size)
+        for _ in range(120):
+            modes, n = int(rng.integers(1, 65)), int(rng.integers(1, 7))
+            f = FourierFunction(rng.uniform(-1, 1), rng.uniform(-1, 1, modes),
+                                rng.uniform(-1, 1, modes))
+            unit = eps * (abs(f.mean) + np.abs(f.cos_coeffs).sum() + np.abs(f.sin_coeffs).sum())
+            x0 = rng.uniform(0, 1, n)
+            spread = np.repeat(np.sqrt(self.TIMES), self.PAIRS)[:, None]
+            step = spread * rng.standard_normal((spread.size, n))
+            want = pairings_long_double(f, x0, step)
+            got = duality._antithetic_pairings(f.mean, duality._shift_table(f, x0), step.copy())
+            today = [f.evaluate(wrap(x0 + sign * step)).mean(axis=1) for sign in (1, -1)]
+            for errs, pair in ((new, got), (old, today)):
+                err = np.maximum(*(np.abs(p - w).astype(float) for p, w in zip(pair, want)))
+                errs[:] = np.maximum(errs, err.reshape(self.TIMES.size, -1).max(axis=1) / unit)
+        return new, old
+
+    def test_within_16_eps_at_every_time(self):
+        new, old = self.worst()
+        assert (new <= 16).all(), dict(zip(self.TIMES, new))
+        # evaluating f at wrap(x0 + s) rounds x0 + s first and loses the
+        # bits of x0 below the ulp of s: that is why the digests moved
+        assert (old[self.TIMES >= 1e2] > 16).all(), dict(zip(self.TIMES, old))
 
 
 class TestSweep:

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from dklab import (
     random_fourier_suite,
     wrap,
 )
+from dklab import torus
 from dklab.torus import TWO_PI, _fourier_moments_into
 from oracles import gamma_by_defining_identity
 
@@ -134,7 +136,9 @@ class TestFourierFunction:
 
 
 def evaluate_per_mode(f, x):
-    """FourierFunction.evaluate as written before it reused scratch buffers."""
+    """FourierFunction.evaluate as the term-by-term loop it was before it
+    added all the terms of a block at once: the reference it must match
+    bit for bit."""
     x = np.asarray(x, dtype=float)
     out = np.full(x.shape, f.mean)
     for k in range(1, f.max_mode + 1):
@@ -178,6 +182,46 @@ class TestEvaluateMatchesPerMode:
         assert np.array_equal(bits(got), bits(want))
         if not shape:
             assert np.array_equal(bits(f.evaluate(float(x))), bits(want))
+
+    @pytest.mark.parametrize("eval_bytes", [None, 1, 8 * 3 * 450])
+    def test_bits_match_up_to_300_modes(self, eval_bytes, monkeypatch):
+        # evaluate takes the points in blocks of at least two points and at
+        # most _EVAL_BYTES of terms and angles: 1 byte gives blocks of two
+        # (and a last block of one, summed by the single-column path),
+        # 10800 bytes blocks of three or more
+        if eval_bytes is not None:
+            monkeypatch.setattr(torus, "_EVAL_BYTES", eval_bytes)
+        rng = np.random.Generator(np.random.Philox(key=(19, 3)))
+        specials = [np.nan, np.inf, -np.inf, 1e300, -0.0]
+        for case in range(120):
+            modes = int(rng.integers(0, 301))
+            a = rng.standard_normal(modes) * (rng.random(modes) < 0.6)
+            b = rng.standard_normal(modes) * (rng.random(modes) < 0.6)
+            f = FourierFunction(rng.standard_normal(), a, b)
+            shape = [(), (int(rng.integers(0, 8)),), (3, int(rng.integers(1, 5)))][case % 3]
+            x = rng.uniform(-3.0, 4.0, shape)
+            if case % 4 == 0 and x.size:
+                x.flat[-1] = specials[case % len(specials)]
+            with np.errstate(invalid="ignore"):  # cos and sin of inf
+                got, want = f.evaluate(x), evaluate_per_mode(f, x)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want)), (modes, shape)
+
+    def test_memory_bounded_by_blocks(self):
+        rng = np.random.Generator(np.random.Philox(key=(19, 4)))
+        f = FourierFunction(0.5, rng.standard_normal(2047), rng.standard_normal(2047))
+        x = rng.uniform(0.0, 1.0, 4096)
+        f.evaluate(x[:8])
+        tracemalloc.start()
+        try:
+            f.evaluate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's terms, angles and cos/sin rows, and the output; the
+        # whole table of terms would take 2 * 2047 * 4096 * 8 = 134 MB
+        assert peak <= 3 * torus._EVAL_BYTES + x.nbytes
 
 
 class TestFourierMoments:
