@@ -28,10 +28,11 @@ turns s - rint s are exact, their cos and sin are taken on a quarter
 turn (_cos_sin_turns), and the higher modes follow by the angle-addition
 recurrence.  No sum x0 + s is ever rounded, so the pairing keeps its
 accuracy at large alpha t, where f(wrap(x0 + s)) loses the bits of x0
-that the rounding of x0 + s drops.  The pairs are walked in pieces of at
-most _PIECE_BYTES of draws, and a cell keeps only its 8-byte value per
-pair; every sum runs within a pair, so a value does not depend on the
-piece it fell in.
+that the rounding of x0 + s drops.  The pairs are walked in pieces of
+whole blocks of draws (_PIECE_BYTES), and a cell keeps only its 8-byte
+value per pair; every sum runs within a pair, so a value does not depend
+on the piece it fell in.  The standard error is taken from those values
+in place, with no copy of them.
 """
 
 from __future__ import annotations
@@ -47,14 +48,16 @@ from .particles import (
     standard_increments,
     z_score,
 )
-from .rng import derive_seed
+from .rng import REPLICATES_PER_BLOCK, derive_seed
 from .torus import TWO_PI, FourierFunction, TorusDomain
 from .vhj import cole_hopf
 
-# Bytes of draws (8 a key) in one piece of a duality cell: 2**14 keys.  A
+# Bytes of draws (8 a normal) in one piece of a duality cell: 2**14
+# normals, rounded down to whole blocks of REPLICATES_PER_BLOCK pairs, at
+# least one, so that no piece draws and drops the head of a block.  A
 # piece's pairing holds about six arrays of its draws' size, so the cap,
 # not the replicate count, sets a cell's working memory; pieces of 2**15
-# and 2**16 keys ran the criterion-1 grid no faster and peaked higher.
+# and 2**16 normals ran the criterion-1 grid no faster and peaked higher.
 _PIECE_BYTES = 1 << 17
 
 
@@ -205,8 +208,9 @@ def run_duality_test(
         Number of sampled replicates: an even count of at least 4, so
         that the replicate pairs give a standard error.
     seed : int
-        Stream seed; pair r, particle i uses stream r * 2**32 + i, whose
-        one draw the pair's two replicates take with opposite signs.
+        Stream seed; pair r, particle i takes row r, column i of
+        standard_increments(n, pairs, seed), which the pair's two
+        replicates take with opposite signs.
 
     Scored by particles.z_score: a non-finite cell raises ValueError, as
     does alpha t past 2**38, where the increments would keep fewer than 30
@@ -225,7 +229,7 @@ def run_duality_test(
     pairs = replicates // 2
     shifts = _shift_table(f, mu0.positions)
     values = np.empty(pairs)
-    width = max(1, _PIECE_BYTES // (8 * n))
+    width = max(1, _PIECE_BYTES // (8 * n * REPLICATES_PER_BLOCK)) * REPLICATES_PER_BLOCK
     for lo in range(0, pairs, width):
         hi = min(pairs, lo + width)
         step = standard_increments(n, hi - lo, seed, lo)
@@ -233,7 +237,11 @@ def run_duality_test(
         plus, minus = _antithetic_pairings(f.mean, shifts, step)
         values[lo:hi] = 0.5 * (np.exp(-plus) + np.exp(-minus))
     mc_mean = float(np.mean(values))
-    mc_stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
+    # np.std(values, ddof=1) step for step, but in place: np.std would
+    # hold a full-size copy of the deviations
+    values -= mc_mean
+    np.square(values, out=values)
+    mc_stderr = float(np.sqrt(np.sum(values) / (pairs - 1)) / np.sqrt(pairs))
     z = z_score("z", mc_mean, rhs, mc_stderr)
     return DualityReport(
         alpha=n,

@@ -43,7 +43,13 @@ from functools import cached_property
 import numpy as np
 
 from .parallel import run_chunked
-from .rng import _fill_normals, normals, replicate_stream_ids
+from .rng import (
+    REPLICATES_PER_BLOCK,
+    _fill_normals,
+    _streams,
+    block_stream_ids,
+    replicate_stream_ids,
+)
 from .torus import (
     FourierFunction,
     _fourier_moments_into,
@@ -170,7 +176,7 @@ def _paths(
 
     x[r, i, k] is particle i of replicate lo + r after k steps: its initial
     atom plus sigma times the sum of the first k normals of stream
-    (seed, (lo + r) * 2**32 + i), the draws that normals(seed, ids,
+    (seed, (lo + r) * 2**32 + i), the draws that rng.normals(seed, ids,
     num_steps) returns for these ids.  simulate_path and
     martingale_ensemble both draw through here.  out, if given, is a
     contiguous 1-D float64 buffer of at least (hi - lo) * n * (num_steps + 1)
@@ -334,12 +340,12 @@ def qv_statistic(ensemble: tuple[np.ndarray, np.ndarray, float]) -> QvReport:
 
 # -- ensemble drivers ----------------------------------------------------------
 #
-# Replicate r of an ensemble is the path simulate_path(..., seed,
-# replicate=r).  martingale_ensemble draws through _paths, as simulate_path
-# does, and pairs the unwrapped positions with its own time weights, so its
-# values agree with martingale_functional on that path to round-off.
-# terminal_ensemble takes the one-step path's single draw per stream from
-# standard_increments, the vectorised count == 1 case of normals.
+# Replicate r of martingale_ensemble is the path simulate_path(..., seed,
+# replicate=r): both draw through _paths, by the path convention of rng,
+# and the ensemble pairs the unwrapped positions with its own time
+# weights, so its values agree with martingale_functional on that path to
+# round-off.  terminal_ensemble takes its one draw per particle from
+# standard_increments, by the one-draw convention of rng.
 
 
 def standard_increments(
@@ -347,11 +353,27 @@ def standard_increments(
 ) -> np.ndarray:
     """One standard normal per (replicate, particle), shape (replicates, n).
 
-    Replicate r (global index first_replicate + r) particle i takes the
-    first draw of stream (seed, (first_replicate + r) * 2**32 + i).  threads
-    is accepted for call compatibility and has no effect.
+    Replicate r (global index first_replicate + r) particle i takes normal
+    ((first_replicate + r) mod 1024) * n + i of the stream of its block of
+    1024 replicates, (seed, rng.block_stream_ids), counted from the start
+    of that stream.  A range that starts inside a block draws the block's
+    head and drops it, so the result is bitwise the matching slice of any
+    larger range, and a range of whole blocks draws nothing twice.
+    threads is accepted for call compatibility and has no effect.
     """
-    return normals(seed, replicate_stream_ids(replicates, n, first_replicate), 1)[..., 0]
+    out = np.empty((replicates, n))
+    if out.size == 0:
+        return out
+    first_block, offset = divmod(int(first_replicate), REPLICATES_PER_BLOCK)
+    blocks = (offset + replicates - 1) // REPLICATES_PER_BLOCK + 1
+    flat = out.reshape(-1)
+    width = REPLICATES_PER_BLOCK * n
+    for k, gen in enumerate(_streams(seed, block_stream_ids(blocks, first_block))):
+        lo = (k * REPLICATES_PER_BLOCK - offset) * n  # the block's first normal in flat
+        if lo < 0:
+            gen.standard_normal(-lo)  # the head, before the range
+        gen.standard_normal(out=flat[max(lo, 0) : lo + width])
+    return out
 
 
 def terminal_ensemble(
@@ -359,9 +381,11 @@ def terminal_ensemble(
 ) -> np.ndarray:
     """Positions of mu_t for replicates 0..replicates-1, shape (replicates, n).
 
-    Replicate r is the one-step path simulate_path(mu0, alpha, t, 1, seed, r)
-    at time t, drawn one normal per stream at once.  alpha t past 2**38
-    raises ValueError: the positions would keep fewer than 30 fractional bits.
+    Replicate r is mu0 moved by sqrt(alpha t) times row r of
+    standard_increments(n, replicates, seed): the same law as the one-step
+    path simulate_path(mu0, alpha, t, 1, seed, r), but not its draws, which
+    follow the path convention of rng.  alpha t past 2**38 raises
+    ValueError: the positions would keep fewer than 30 fractional bits.
     """
     n = _check_grid(mu0, alpha, t, 1)
     _check_spread(n, t)

@@ -4,8 +4,8 @@ Everything here is deliberately brute force and shares no code path with
 the implementation under test: explicit finite differences for the PDEs,
 direct convolution for the Poisson binomial, quadrature against the
 periodized Gaussian kernel, the defining spectral identity for the
-squared-gradient form, and the chi-square tail summed in 60-digit decimal
-arithmetic.
+squared-gradient form, the chi-square tail summed in 60-digit decimal
+arithmetic, and the one-draw increments read off whole live streams.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 from scipy.special import binom, erf
 
-from dklab import FourierFunction, generator_L, product
+from dklab import FourierFunction, RngStream, generator_L, product
 
 
 def fd_heat_solve(f, diffusivity: float, t: float, cells: int = 4096, safety: float = 0.9):
@@ -160,3 +160,21 @@ def chi2_sf_exact(df: int, x: float) -> float:
             total += decay * power
             power = power * y / (j + shift)
         return float(total)
+
+
+def block_increments(seed: int, n: int, replicates: int, first_replicate: int = 0) -> np.ndarray:
+    """standard_increments(n, replicates, seed, first_replicate), straight from numpy.
+
+    Replicate r, particle i is normal (r mod 1024) n + i of the live
+    stream (seed, (r // 1024) 2**32 + 2**32 - 1 mod 2**64), each block's
+    1024 n normals drawn in one call from the stream's start.
+    """
+    blocks = {}
+    out = np.empty((replicates, n))
+    for j in range(replicates):
+        b, k = divmod(first_replicate + j, 1024)
+        if b not in blocks:
+            key = (b * 2**32 + 2**32 - 1) & ((1 << 64) - 1)
+            blocks[b] = RngStream(seed, key).generator.standard_normal(1024 * n)
+        out[j] = blocks[b][k * n : (k + 1) * n]
+    return out

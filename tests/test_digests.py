@@ -7,12 +7,12 @@ at one and at two threads, since the thread count must never change a
 digest.
 
 History: martingale moved by round-off when the pairings went through
-shared Fourier moments (was 50dddb79...bd64891).  pgf-integer-monte-carlo
-moved when the chi-square p-value became the closed-form tail in place of
-scipy's chdtrc (was 911f3aa7...b465d08b301): its p-value went from
+shared Fourier moments (was 50dddb79...bd64891). pgf-integer-monte-carlo
+moved when the chi-square p-value became the closed-form tail in place
+of scipy's chdtrc (was 911f3aa7...b465d08b301): its p-value went from
 0.3109870613201613 to 0.31098706132016124, which is exp(-stat / 2) at 2
 degrees of freedom correctly rounded, so the new number is closer to
-exact; the statistic and the verdict are unchanged.  duality and
+exact; the statistic and the verdict are unchanged. duality and
 duality-several-blocks moved by round-off when each antithetic pair was
 paired with f from one cos and sin of its increment, in place of f at
 wrap(x0 + s) and wrap(x0 - s) (were 6bfb9d5c...a8167d and
@@ -20,12 +20,22 @@ wrap(x0 + s) and wrap(x0 - s) (were 6bfb9d5c...a8167d and
 mc_mean by at most 5.6e-17 (1.2e-16 relative) and mc_stderr by at most
 2.2e-19 (3.9e-16 relative); the rhs and every verdict are unchanged, and
 the new pairing is the more accurate one, since it never rounds x0 + s.
-All other pins are unchanged since the seed import; the pgf
-several-blocks pin, also at 2 degrees of freedom, held because chdtrc had
-rounded its p-value correctly.  The two "several-blocks" pins were
-recorded before the one-draw Philox kernel went in place over larger
-blocks; the pgf one still holds the new kernel to the old one's bits, and
-the duality one did until the re-pin above.
+The pgf several-blocks pin, also at 2 degrees of freedom, held through
+that change because chdtrc had rounded its p-value correctly. duality,
+duality-several-blocks, pgf-integer-monte-carlo and
+pgf-integer-monte-carlo-several-blocks moved when the one-draw samplers
+went from one Philox stream per (replicate, particle) to one stream per
+block of 1024 replicates (were 8232bf30...6937199, 267d05f5...0917a8,
+cf19e630...e4c99f and a410b4d7...f9abe5). The new draws are as valid as
+the old: each block key is a distinct Philox key, disjoint from every
+path key, so the blocks are independent streams of independent standard
+normals, as the per-particle streams were. Every verdict is unchanged:
+the duality z-scores went from (0.16, 0.35, 0.21) to (-0.01, -1.47,
+0.97) and from (0.80, -1.85, -1.36) to (0.59, -0.37, 0.10), all passes,
+and the pgf chi-square p-values from 0.311 to 0.780 and from 0.631 to
+0.584, both passes. The standard error, now taken in place, is bit for
+bit np.std's, so only the draws moved these digests. All other pins are
+unchanged since the seed import.
 """
 
 import pytest
@@ -35,12 +45,13 @@ from dklab.cli import main, parse_manifest
 CASES = {
     "duality": (
         ["duality", "--alpha", "2", "--t", "0.02", "--replicates", "4000", "--seed", "3"],
-        "8232bf302181a961cee497793e1931fd9efb5f23c8db831e1c06d467c6937199",
+        "00a45d2080a83f75021c0bccb4c0df0690b5f4e137487c05e1dc05347dbf5c8c",
     ),
-    # 5 * 10**4 one-draw keys per cell: several blocks of rng.standard_normals
+    # 10**4 antithetic pairs of 5 particles per cell: ten one-draw blocks of
+    # 1024 pairs, the last one partial, walked in pieces of three blocks
     "duality-several-blocks": (
         ["duality", "--alpha", "5", "--t", "0.02", "--replicates", "20000", "--seed", "3"],
-        "267d05f595e914ca2d22235b8cd3f51cf0b3530a7aabf5b05cf49f3a780917a8",
+        "5730fb75a930299245a613243357467787e0d1b49267f5c17fd54ac583654ff4",
     ),
     "martingale": (
         ["martingale", "--alpha", "2", "--t", "0.02", "--replicates", "2000",
@@ -53,11 +64,12 @@ CASES = {
     ),
     "pgf-integer-monte-carlo": (
         ["pgf", "--alpha", "2", "--t", "0.05", "--replicates", "5000", "--seed", "42"],
-        "cf19e630755e7420901e02933ab2c4cc8d7fe1070f47e6db5e10042181e4c99f",
+        "e69d1f0c5461fedf21ab846866ff92e53f759ff6af5874fe015cf8eb316e16a5",
     ),
+    # 25 one-draw blocks of 1024 replicates, the last one partial
     "pgf-integer-monte-carlo-several-blocks": (
         ["pgf", "--alpha", "2", "--t", "0.05", "--replicates", "25000", "--seed", "42"],
-        "a410b4d74094f1a1601a6089d7a6fe7abc6cd48727986a38b76aeaeffbf9abe5",
+        "98c9bc35bfcf4c07b4ca01d595f54174da9027ba221198852b6c46f31d60436d",
     ),
     "breakdown": (
         ["breakdown", "--alpha", "1.5", "--grid", "64", "--replicates", "10",

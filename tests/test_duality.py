@@ -100,7 +100,8 @@ class TestSingleCell:
 
 
 class TestPieces:
-    """The pairs of a cell are walked in pieces of at most _PIECE_BYTES of draws."""
+    """The pairs of a cell are walked in pieces of whole blocks of draws, as
+    many as fit in _PIECE_BYTES, at least one."""
 
     @pytest.mark.parametrize("n", [3, 9])
     def test_piece_size_does_not_change_the_report(self, dom, n, monkeypatch):
@@ -114,6 +115,23 @@ class TestPieces:
         for piece_bytes in (1, 8 * n * 333 + 5, 8 * n * 7):
             monkeypatch.setattr(duality, "_PIECE_BYTES", piece_bytes)
             assert run_duality_test(*args, dom=dom) == want
+
+    def test_pieces_of_one_block_give_the_same_report(self, dom, monkeypatch):
+        # 3077 pairs at n = 2: one piece of 8 blocks by default, four
+        # pieces (the last of 5 pairs) at one block a piece
+        f = default_f_suite()[2][1]
+        args = (2, equally_spaced_atoms(2), f, 0.05, 6154, 2**63 + 9)
+        want = run_duality_test(*args, dom=dom)
+        monkeypatch.setattr(duality, "_PIECE_BYTES", 1)
+        assert run_duality_test(*args, dom=dom) == want
+
+    def test_thread_count_does_not_change_the_report(self, dom, monkeypatch):
+        args = (3, equally_spaced_atoms(3), bump(), 0.04, 2 * 2100, 17)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DKLAB_THREADS", threads)
+            reports.append(run_duality_test(*args, dom=dom))
+        assert reports[0] == reports[1]
 
     def test_peak_memory_does_not_grow_with_replicates(self, dom):
         # n = 2: pieces of 8192 pairs, so both runs take many full pieces

@@ -22,7 +22,7 @@ from dklab import (
     wrap,
 )
 from dklab.particles import z_score
-from oracles import wrapped_gaussian_cdf
+from oracles import block_increments, wrapped_gaussian_cdf
 
 try:
     import resource
@@ -136,15 +136,18 @@ class TestSimulatePath:
                 terminal_ensemble(mu0, 2, t, 10, seed=1)
 
     def test_terminal_matches_per_stream_draws(self):
+        # the one-draw convention: replicate r, particle i is normal
+        # (r mod 1024) n + i of its block's stream, read off numpy directly;
+        # 2100 replicates fill two blocks and start a third
         mu0 = EmpiricalMeasure([0.1, 0.6])
         for seed in (21, 2**63 + 21):
-            batch = terminal_ensemble(mu0, 2, 0.05, 15, seed=seed)
-            for r in range(15):
-                z = stream_normals(seed, r, 2, 1)[:, 0]
-                assert np.array_equal(batch[r], wrap(mu0.positions + np.sqrt(2 * 0.05) * z))
-                one_step = simulate_path(mu0, 2, 0.05, 1, seed, r)
-                assert np.array_equal(batch[r], one_step.positions[1])
+            batch = terminal_ensemble(mu0, 2, 0.05, 2100, seed=seed)
+            z = block_increments(seed, 2, 2100)
+            assert np.array_equal(batch, wrap(mu0.positions + np.sqrt(2 * 0.05) * z))
             assert np.array_equal(terminal_ensemble(mu0, 2, 0.05, 1, seed=seed), batch[:1])
+            # not the one-step path of the path convention
+            one_step = simulate_path(mu0, 2, 0.05, 1, seed, 0)
+            assert not np.array_equal(batch[0], one_step.positions[1])
 
     @pytest.mark.parametrize("t_final, num_steps, name", [(-0.01, 10, "t_final"),
                                                           (0.05, 0, "num_steps")])

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-import make_ziggurat
 from dklab import EmpiricalMeasure, RngStream, derive_seed, simulate_path, terminal_ensemble
 from dklab import rng
 from dklab.particles import standard_increments
-from dklab.rng import normals, replicate_stream_ids
+from dklab.rng import block_stream_ids, normals, replicate_stream_ids
+from oracles import block_increments
 
 U64 = (1 << 64) - 1
 
@@ -171,91 +171,62 @@ def test_stream_keys_at_and_above_two_to_the_63():
     assert not np.array_equal(a, b)
 
 
-def reference_increments(n, replicates, seed, first_replicate):
-    ids = [((first_replicate + r) * 2**32 + i) & U64 for r in range(replicates) for i in range(n)]
-    ids = np.array(ids, dtype=np.uint64).reshape(replicates, n)
-    return reference_normals(seed, ids, 1)[..., 0]
+BLOCK = rng.REPLICATES_PER_BLOCK
 
 
-# 43 examples of about 10**5 keys (six blocks) each: 4 * 10**6 keys against
-# the per-stream draws
+# ranges that start inside a block, that cross two or three blocks, and
+# that lie near r = 2**42, where the block keys wrap
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    seed=st.integers(0, U64),
-    first_replicate=st.integers(0, U64),
-    n=st.integers(1, 6),
-    extra=st.integers(1, 4095),
+    seed=st.integers(2**63, U64),
+    n=st.integers(1, 9),
+    first_replicate=st.one_of(
+        st.integers(0, 8 * BLOCK),
+        st.integers(2**42 - 3 * BLOCK, 2**42 + BLOCK),
+        st.integers(0, U64),
+    ),
+    replicates=st.integers(1, 3 * BLOCK),
 )
-@example(seed=2**63, first_replicate=2**32 - 3, n=5, extra=17)
-@example(seed=U64, first_replicate=U64 - 1, n=3, extra=4095)
-@example(seed=0, first_replicate=0, n=1, extra=1)
-def test_vectorised_first_draws_match_per_stream_draws(seed, first_replicate, n, extra):
-    replicates = (6 * rng._BLOCK + extra) // n
+@example(seed=2**63, n=1, first_replicate=0, replicates=1)
+@example(seed=2**63 + 5, n=3, first_replicate=BLOCK - 1, replicates=2)
+@example(seed=U64, n=9, first_replicate=5, replicates=2 * BLOCK + 10)
+@example(seed=U64 - 7, n=2, first_replicate=2**42 - 2, replicates=5)
+@example(seed=2**64 - 11, n=4, first_replicate=U64 - 3, replicates=9)
+def test_block_draws_match_numpy_streams(seed, n, first_replicate, replicates):
     got = standard_increments(n, replicates, seed, first_replicate)
-    want = reference_increments(n, replicates, seed, first_replicate)
     assert got.shape == (replicates, n)
+    want = block_increments(seed, n, replicates, first_replicate)
     assert np.array_equal(bits(got), bits(want))
+    # the same rows, drawn as part of the whole blocks around the range
+    start = first_replicate - first_replicate % BLOCK
+    whole = standard_increments(n, 4 * BLOCK, seed, start)
+    head = first_replicate - start
+    assert np.array_equal(bits(got), bits(whole[head : head + replicates]))
 
 
-def numpy_first_words(seed, ids):
-    """Word 0 of each stream (seed, id), from numpy's own Philox."""
-    bg = np.random.Philox()
-    out = []
-    for sid in ids.tolist():
-        bg.state = rng._philox_state(seed, sid)
-        out.append(bg.random_raw())
-    return np.array(out, dtype=np.uint64)
-
-
-# the in-place kernel, run block by block through one reused scratch as
-# normals(..., 1) runs it, against numpy's Philox4x64-10
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(
-    seed=st.integers(0, U64),
-    first=st.integers(0, U64),
-    stride=st.integers(1, U64),
-    count=st.integers(1, 3 * rng._BLOCK).filter(lambda c: c % rng._BLOCK),
-)
-@example(seed=0, first=0, stride=1, count=1)
-@example(seed=U64, first=U64, stride=U64, count=rng._BLOCK + 1)
-@example(seed=2**63 + 5, first=2**63, stride=2**32 + 1, count=2 * rng._BLOCK - 1)
-def test_philox_first_words_match_numpy(seed, first, stride, count):
-    ids = np.uint64(first) + np.arange(count, dtype=np.uint64) * np.uint64(stride)
-    work = np.full((9, rng._BLOCK), U64, dtype=np.uint64)
-    got = np.concatenate([
-        rng._philox_first_words(seed, ids[lo : lo + rng._BLOCK], work).copy()
-        for lo in range(0, count, rng._BLOCK)
-    ])
-    assert np.array_equal(got, numpy_first_words(seed, ids))
-    assert np.array_equal(rng._philox_first_words(seed, ids), got)
+def test_block_keys_are_not_path_keys():
+    # a block key's low word is 2**32 - 1, a path key's is a particle index
+    for first in (0, 5, 2**31, 2**32 - 1, U64 - 2):
+        blocks = block_stream_ids(4, first)
+        assert blocks.tolist() == [((first + b) * 2**32 + 2**32 - 1) & U64 for b in range(4)]
+        paths = replicate_stream_ids(6, 9, first).ravel()
+        assert np.intersect1d(blocks, paths).size == 0
+        assert (paths & np.uint64(2**32 - 1) < 9).all()
 
 
 def test_stream_ids_wrap_mod_two_to_the_64():
-    # replicate indices that differ by 2**32 give the same ids mod 2**64
-    a = standard_increments(3, 10, 99, 2**32 - 4)
-    b = standard_increments(3, 10, 99, 2**33 - 4)
+    # replicate indices that differ by 2**42 give the same block keys mod
+    # 2**64, and the same place in their block
+    a = standard_increments(3, 10, 99, 2**42 - 4)
+    b = standard_increments(3, 10, 99, 2**43 - 4)
     assert np.array_equal(bits(a), bits(b))
+    assert np.array_equal(bits(a), bits(block_increments(99, 3, 10, 2**42 - 4)))
     ids = np.array([-1, -2**32, -2**63], dtype=np.int64)
     for count in (1, 30):
         want = reference_normals(99, [int(i) & U64 for i in ids], count)
         assert np.array_equal(bits(normals(99, ids, count)), bits(want))
     with pytest.raises(TypeError):
         normals(99, [2**63 + 1, 2], 1)  # would round through float64
-
-
-def test_fallback_keys_match_per_stream_draws():
-    seed, ids = 2**64 - 11, np.arange(40000, dtype=np.uint64) * np.uint64(2**32 + 1)
-    _, accepted = rng._ziggurat_fast_path(rng._philox_first_words(seed, ids))
-    missed = ids[~accepted]
-    assert 200 < missed.size < 1200  # about 1.5% of the keys
-    want = reference_normals(seed, missed, 1)
-    assert np.array_equal(bits(normals(seed, missed, 1)), bits(want))
-
-
-def test_every_key_forced_onto_the_fallback(monkeypatch):
-    monkeypatch.setattr(rng, "_ZIGGURAT_KI", np.zeros(256, dtype=np.uint64))
-    got = standard_increments(2, 300, 12345, 7)
-    assert np.array_equal(bits(got), bits(reference_increments(2, 300, 12345, 7)))
 
 
 def test_empty_and_shaped_requests():
@@ -266,39 +237,6 @@ def test_empty_and_shaped_requests():
         got = normals(8, ids, count)
         assert got.shape == (3, 2, 2, count)
         assert np.array_equal(bits(got.reshape(12, count)), bits(normals(8, ids.ravel(), count)))
-
-
-@pytest.fixture(scope="module")
-def fake_bitgen():
-    gen = make_ziggurat.load()
-    if gen is None:
-        pytest.skip("numpy does not export random_standard_normal")
-    return gen
-
-
-def test_ziggurat_literals_match_numpy(fake_bitgen):
-    ki, wi = make_ziggurat.ziggurat_tables(fake_bitgen)
-    assert rng._ZIGGURAT_KI.tolist() == ki
-    assert np.array_equal(bits(rng._ZIGGURAT_WI), bits(wi))
-    assert ki[1] == 0  # layer 1 never takes the fast path, not even at rabs = 0
-
-
-def test_ziggurat_layer_edges(fake_bitgen):
-    for idx in range(256):
-        edge = int(rng._ZIGGURAT_KI[idx])
-        if edge > 0:
-            assert fake_bitgen.fast_path(idx, edge - 1), idx
-        if edge < make_ziggurat.RABS_LIMIT:
-            assert not fake_bitgen.fast_path(idx, edge), idx
-        # the fast-path value is the same product numpy forms, with its sign
-        for rabs in (0, 1, max(edge - 1, 0)):
-            for sign in (0, 1):
-                word = (rabs << 9) | (sign << 8) | idx
-                if rabs < edge:
-                    x, calls = fake_bitgen.draw(word)
-                    ours, ok = rng._ziggurat_fast_path(np.array([word], dtype=np.uint64))
-                    assert calls == 1 and ok[0]
-                    assert bits(ours)[0] == bits(x), (idx, rabs, sign)
 
 
 def test_replicate_stream_layout():
