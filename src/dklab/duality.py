@@ -29,9 +29,10 @@ turn (_cos_sin_turns), and the higher modes follow by the angle-addition
 recurrence.  No sum x0 + s is ever rounded, so the pairing keeps its
 accuracy at large alpha t, where f(wrap(x0 + s)) loses the bits of x0
 that the rounding of x0 + s drops.  The pairs are walked in pieces of
-whole blocks of draws (_PIECE_BYTES), and a cell keeps only its 8-byte
-value per pair; every sum runs within a pair, so a value does not depend
-on the piece it fell in.  The standard error is taken from those values
+at most _PIECE_BYTES of draws (rng.block_pieces, which keeps a block's
+stream live from piece to piece), and a cell keeps only its 8-byte value
+per pair; every sum runs within a pair, so a value does not depend on the
+piece it fell in.  The standard error is taken from those values
 in place, with no copy of them.
 """
 
@@ -41,22 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .particles import (
-    EmpiricalMeasure,
-    _check_spread,
-    require_integer_alpha,
-    standard_increments,
-    z_score,
-)
-from .rng import REPLICATES_PER_BLOCK, derive_seed
+from .particles import EmpiricalMeasure, _check_spread, require_integer_alpha, z_score
+from .particles import standard_increments  # noqa: F401  bench/spans.py wraps this name
+from .rng import REPLICATES_PER_BLOCK, block_pieces, derive_seed
 from .torus import TWO_PI, FourierFunction, TorusDomain
 from .vhj import cole_hopf
 
 # Bytes of draws (8 a normal) in one piece of a duality cell: 2**14
-# normals, rounded down to whole blocks of REPLICATES_PER_BLOCK pairs, at
-# least one, so that no piece draws and drops the head of a block.  A
-# piece's pairing holds about six arrays of its draws' size, so the cap,
-# not the replicate count, sets a cell's working memory; pieces of 2**15
+# normals, rounded down to whole blocks of REPLICATES_PER_BLOCK pairs where
+# a block fits (alpha <= 16), else at least one pair.  A piece's pairing
+# holds about six arrays of its draws' size, so the cap, not the
+# replicate count or alpha, sets a cell's working memory; pieces of 2**15
 # and 2**16 normals ran the criterion-1 grid no faster and peaked higher.
 _PIECE_BYTES = 1 << 17
 
@@ -209,8 +205,8 @@ def run_duality_test(
         that the replicate pairs give a standard error.
     seed : int
         Stream seed; pair r, particle i takes row r, column i of
-        standard_increments(n, pairs, seed), which the pair's two
-        replicates take with opposite signs.
+        standard_increments(n, pairs, seed) (rng.block_pieces at width n),
+        which the pair's two replicates take with opposite signs.
 
     Scored by particles.z_score: a non-finite cell raises ValueError, as
     does alpha t past 2**38, where the increments would keep fewer than 30
@@ -229,10 +225,9 @@ def run_duality_test(
     pairs = replicates // 2
     shifts = _shift_table(f, mu0.positions)
     values = np.empty(pairs)
-    width = max(1, _PIECE_BYTES // (8 * n * REPLICATES_PER_BLOCK)) * REPLICATES_PER_BLOCK
-    for lo in range(0, pairs, width):
-        hi = min(pairs, lo + width)
-        step = standard_increments(n, hi - lo, seed, lo)
+    cap = _PIECE_BYTES // (8 * n)
+    cap = cap - cap % REPLICATES_PER_BLOCK if cap >= REPLICATES_PER_BLOCK else max(1, cap)
+    for lo, hi, step in block_pieces(seed, n, 0, pairs, cap, np.empty(min(cap, pairs) * n)):
         step *= np.sqrt(n * t)
         plus, minus = _antithetic_pairings(f.mean, shifts, step)
         values[lo:hi] = 0.5 * (np.exp(-plus) + np.exp(-minus))

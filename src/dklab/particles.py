@@ -22,16 +22,17 @@ exponential per atom and state, after which <mu, phi>, <mu, L phi> and
 (FourierFunction.pair_moments).  The ensemble driver integrates the
 moments over time before pairing, since it keeps only the final M_t and
 qv_t.  Each thread takes one contiguous slab of replicates
-(parallel.run_chunked) and one set of buffers for it: the positions (at
+(parallel.run_chunked hands out whole blocks of 1024 replicates, the
+unit of the draws) and one set of buffers for it: the positions (at
 most _CHUNK_BYTES) and the two complex moment arrays (twice that each).
 It walks its slab in pieces that fit those buffers, so a call holds about
 5 * _CHUNK_BYTES per thread whatever the replicate count, allocates and
 page-faults that memory once, and a piece's working set stays close to
-the L2 cache.  The draws of a piece run one thread at a time
-(rng._fill_normals takes a lock: their per-stream Python work holds the
-GIL), while the cumulative sum and the Fourier moments, numpy work that
-releases the GIL, run alongside the other threads' draws.  On 2 cores
-that overlap took the pool from 1.33x to 1.6x over one thread.
+the L2 cache.  A piece's normals are drawn into the first moment buffer,
+which the moments overwrite only after the positions are summed from
+them.  Every step releases the GIL: one standard_normal fill per block a
+piece touches (rng.block_pieces), the cumulative sum and the Fourier
+moments.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .parallel import run_chunked
-from .rng import (
-    REPLICATES_PER_BLOCK,
-    _fill_normals,
-    _streams,
-    block_stream_ids,
-    replicate_stream_ids,
-)
+from .rng import REPLICATES_PER_BLOCK, block_pieces
 from .torus import (
     FourierFunction,
     _fourier_moments_into,
@@ -163,36 +158,38 @@ def _check_spread(n: int, t: float) -> None:
         )
 
 
-def _paths(
+def _path_pieces(
     mu0: EmpiricalMeasure,
     sigma: float,
     num_steps: int,
     seed: int,
     lo: int,
     hi: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Unwrapped positions of replicates lo..hi-1, shape (hi - lo, n, num_steps + 1).
+    cap: int,
+    positions: np.ndarray,
+    draws: np.ndarray,
+):
+    """Unwrapped positions of replicates lo..hi-1, in pieces of at most cap replicates.
 
-    x[r, i, k] is particle i of replicate lo + r after k steps: its initial
-    atom plus sigma times the sum of the first k normals of stream
-    (seed, (lo + r) * 2**32 + i), the draws that rng.normals(seed, ids,
-    num_steps) returns for these ids.  simulate_path and
-    martingale_ensemble both draw through here.  out, if given, is a
-    contiguous 1-D float64 buffer of at least (hi - lo) * n * (num_steps + 1)
-    entries; x is then a view of its head, and nothing else of it is read.
+    Yields (a, b, x) for consecutive pieces [a, b), with x of shape
+    (b - a, n, num_steps + 1): x[r, i, k] is particle i of replicate a + r
+    after k steps, its initial atom plus sigma times the sum of the
+    replicate's normals i * num_steps to i * num_steps + k - 1 in
+    rng.block_pieces (width n * num_steps).  simulate_path and
+    martingale_ensemble both draw through here.  With m = min(cap, hi - lo),
+    positions and draws are contiguous 1-D float64 buffers of at least
+    m * n * (num_steps + 1) and m * n * num_steps entries; x is a view of
+    the head of positions, valid until the next piece, and the normals go
+    through draws, nothing of which is read before it is written.
     """
-    ids = replicate_stream_ids(hi - lo, mu0.n, lo)
-    shape = ids.shape + (num_steps + 1,)
-    x = np.empty(shape) if out is None else out[: ids.size * shape[-1]].reshape(shape)
-    x[..., 0] = 0.0
-    # the draws go straight into x: a separate array of them would be
-    # allocated and page-faulted afresh for every piece
-    _fill_normals(seed, ids.ravel(), x.reshape(-1, num_steps + 1)[:, 1:])
-    np.cumsum(x, axis=-1, out=x)
-    x *= sigma
-    x += mu0.positions[:, None]
-    return x
+    n = mu0.n
+    for a, b, z in block_pieces(seed, n * num_steps, lo, hi, cap, draws):
+        x = positions[: (b - a) * n * (num_steps + 1)].reshape(b - a, n, num_steps + 1)
+        x[..., 0] = 0.0
+        np.cumsum(z.reshape(b - a, n, num_steps), axis=-1, out=x[..., 1:])
+        x *= sigma
+        x += mu0.positions[:, None]
+        yield a, b, x
 
 
 def simulate_path(
@@ -205,8 +202,10 @@ def simulate_path(
 ) -> ParticlePath:
     """Sample one path of the empirical-measure process.
 
-    Particle i draws its increments from stream (seed, replicate * 2**32 + i),
-    so the path is replicate `replicate` of martingale_ensemble(..., seed).
+    The path is replicate `replicate` of martingale_ensemble(..., seed): its
+    n * num_steps normals sit in the stream of its block of 1024 replicates
+    (rng.block_pieces), after those of the replicates before it in the
+    block, which are drawn and dropped.
 
     Parameters
     ----------
@@ -224,7 +223,10 @@ def simulate_path(
     """
     n = _check_grid(mu0, alpha, t_final, num_steps)
     sigma = np.sqrt(n * (t_final / num_steps))
-    x = _paths(mu0, sigma, num_steps, seed, replicate, replicate + 1)
+    positions, draws = np.empty(n * (num_steps + 1)), np.empty(n * num_steps)
+    [(_, _, x)] = _path_pieces(
+        mu0, sigma, num_steps, seed, replicate, replicate + 1, 1, positions, draws
+    )
     return ParticlePath(
         times=np.linspace(0.0, t_final, num_steps + 1), positions=wrap(x[0].T), alpha=n
     )
@@ -341,11 +343,10 @@ def qv_statistic(ensemble: tuple[np.ndarray, np.ndarray, float]) -> QvReport:
 # -- ensemble drivers ----------------------------------------------------------
 #
 # Replicate r of martingale_ensemble is the path simulate_path(..., seed,
-# replicate=r): both draw through _paths, by the path convention of rng,
-# and the ensemble pairs the unwrapped positions with its own time
+# replicate=r): both draw through _path_pieces, by the block convention of
+# rng, and the ensemble pairs the unwrapped positions with its own time
 # weights, so its values agree with martingale_functional on that path to
-# round-off.  terminal_ensemble takes its one draw per particle from
-# standard_increments, by the one-draw convention of rng.
+# round-off.  standard_increments is the one-step case of the same draws.
 
 
 def standard_increments(
@@ -353,43 +354,38 @@ def standard_increments(
 ) -> np.ndarray:
     """One standard normal per (replicate, particle), shape (replicates, n).
 
-    Replicate r (global index first_replicate + r) particle i takes normal
-    ((first_replicate + r) mod 1024) * n + i of the stream of its block of
-    1024 replicates, (seed, rng.block_stream_ids), counted from the start
-    of that stream.  A range that starts inside a block draws the block's
-    head and drops it, so the result is bitwise the matching slice of any
-    larger range, and a range of whole blocks draws nothing twice.
+    Row r is replicate first_replicate + r of rng.block_pieces at width n:
+    particle i takes normal ((first_replicate + r) mod 1024) * n + i of the
+    stream of its block of 1024 replicates, which is the one-step path's
+    draw.  The result is bitwise the matching slice of any larger range.
     threads is accepted for call compatibility and has no effect.
     """
     out = np.empty((replicates, n))
-    if out.size == 0:
-        return out
-    first_block, offset = divmod(int(first_replicate), REPLICATES_PER_BLOCK)
-    blocks = (offset + replicates - 1) // REPLICATES_PER_BLOCK + 1
-    flat = out.reshape(-1)
-    width = REPLICATES_PER_BLOCK * n
-    for k, gen in enumerate(_streams(seed, block_stream_ids(blocks, first_block))):
-        lo = (k * REPLICATES_PER_BLOCK - offset) * n  # the block's first normal in flat
-        if lo < 0:
-            gen.standard_normal(-lo)  # the head, before the range
-        gen.standard_normal(out=flat[max(lo, 0) : lo + width])
+    lo = int(first_replicate)
+    for _ in block_pieces(seed, n, lo, lo + replicates, replicates, out.reshape(-1)):
+        pass
     return out
 
 
 def terminal_ensemble(
-    mu0: EmpiricalMeasure, alpha: int, t: float, replicates: int, seed: int
+    mu0: EmpiricalMeasure,
+    alpha: int,
+    t: float,
+    replicates: int,
+    seed: int,
+    first_replicate: int = 0,
 ) -> np.ndarray:
-    """Positions of mu_t for replicates 0..replicates-1, shape (replicates, n).
+    """Positions of mu_t for replicates first_replicate onward, shape (replicates, n).
 
-    Replicate r is mu0 moved by sqrt(alpha t) times row r of
-    standard_increments(n, replicates, seed): the same law as the one-step
-    path simulate_path(mu0, alpha, t, 1, seed, r), but not its draws, which
-    follow the path convention of rng.  alpha t past 2**38 raises
+    Replicate r is mu0 moved by sqrt(alpha t) times the row of
+    standard_increments for r, the final state of the one-step path
+    simulate_path(mu0, alpha, t, 1, seed, r).  alpha t past 2**38 raises
     ValueError: the positions would keep fewer than 30 fractional bits.
     """
     n = _check_grid(mu0, alpha, t, 1)
     _check_spread(n, t)
-    return wrap(mu0.positions + np.sqrt(n * t) * standard_increments(n, replicates, seed))
+    z = standard_increments(n, replicates, seed, first_replicate)
+    return wrap(mu0.positions + np.sqrt(n * t) * z)
 
 
 def martingale_ensemble(
@@ -406,13 +402,15 @@ def martingale_ensemble(
 
     Returns (m_final, qv_final, t_final) ready for qv_statistic.  Replicate
     r is the path simulate_path(..., seed, replicate=r).  Each thread
-    takes one contiguous slab of replicates and walks it in pieces of at
-    most _CHUNK_BYTES bytes of positions, whatever the replicate count.
-    Each piece is reduced to the Fourier moments of its final states and
-    the trapezoid time integral of its moments, and the three pairings are
-    taken from those.  A thread writes all its pieces into one positions
-    buffer and two complex moment buffers, sized for one piece and
-    allocated once per slab: about 5 * _CHUNK_BYTES per thread.
+    takes one contiguous slab of whole blocks of 1024 replicates and walks
+    it in pieces of at most _CHUNK_BYTES bytes of positions, whatever the
+    replicate count.  Each piece is reduced to the Fourier moments of its
+    final states and the trapezoid time integral of its moments, and the
+    three pairings are taken from those.  A thread writes all its pieces
+    into one positions buffer and two complex moment buffers, sized for
+    one piece and allocated once per slab: about 5 * _CHUNK_BYTES per
+    thread.  The normals of a piece are drawn into the first moment
+    buffer, before its moments overwrite them.
     """
     n = _check_grid(mu0, alpha, t_final, num_steps)
     times = np.linspace(0.0, t_final, num_steps + 1)
@@ -427,14 +425,15 @@ def martingale_ensemble(
     qv_final = np.empty(replicates)
     cap = max(1, _CHUNK_BYTES // ((num_steps + 1) * n * 8))
 
-    def fill(lo, hi):
+    def fill(first_block, last_block):
+        lo = first_block * REPLICATES_PER_BLOCK
+        hi = min(last_block * REPLICATES_PER_BLOCK, replicates)
         size = min(cap, hi - lo) * n * (num_steps + 1)
         positions = np.empty(size)
         e1 = np.empty(size, dtype=complex)
         ek = np.empty(size, dtype=complex)
-        for a in range(lo, hi, cap):
-            b = min(a + cap, hi)
-            x = _paths(mu0, sigma, num_steps, seed, a, b, out=positions)
+        pieces = _path_pieces(mu0, sigma, num_steps, seed, lo, hi, cap, positions, e1.view(float))
+        for a, b, x in pieces:
             final = _fourier_moments_into(x[:, :, -1], order, None, e1, ek)
             integral = _fourier_moments_into(x.reshape(b - a, -1), order, weights, e1, ek)
             m_final[a:b] = (
@@ -442,5 +441,5 @@ def martingale_ensemble(
             )
             qv_final[a:b] = gphi.pair_moments(integral)
 
-    run_chunked(replicates, fill, threads)
+    run_chunked(-(-replicates // REPLICATES_PER_BLOCK), fill, threads)
     return m_final, qv_final, t_final

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .particles import EmpiricalMeasure, require_integer_alpha, terminal_ensemble
+from .rng import REPLICATES_PER_BLOCK
 from .torus import FourierFunction, TorusDomain, heat_semigroup, wrap
 
 _FLOOR_EPS = 8 * np.finfo(float).eps  # per-term bound: g itself is good to ~2 eps
@@ -49,6 +50,9 @@ _LEVELS = 52  # levels of the limit route's geometric grid
 _NEVILLE_DEPTH = 6  # Richardson depth across levels
 _RTOL = 1e-7  # stabilization tolerance on consecutive accelerated estimates
 _ZERO_TOL = 1e-6  # largest round-off bound that certifies a floor-limited p_k as zero
+# draws (8 bytes a normal) in one piece of monte_carlo_pgf, rounded down to
+# whole blocks of REPLICATES_PER_BLOCK replicates, at least one
+_PIECE_BYTES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +577,18 @@ def monte_carlo_pgf(
     membership in A is exact, so every sampled X is an integer in
     {0, ..., alpha}.  Uncertainties are binomial standard errors, and
     the nonnegativity tolerance for Monte Carlo output is 3 of them.
+    The replicates are those of terminal_ensemble(mu0, alpha, occ.t,
+    replicates, seed), sampled in pieces of whole blocks (_PIECE_BYTES) of
+    which only the counts are kept, so the memory does not grow with the
+    replicate count.
     """
     n = require_integer_alpha(alpha, mu0.n)
-    pos = terminal_ensemble(mu0, n, occ.t, replicates, seed)
-    counts_per_rep = occ.contains(pos).sum(axis=1)
-    freq = np.bincount(counts_per_rep, minlength=n + 1) / replicates
+    width = max(1, _PIECE_BYTES // (8 * n * REPLICATES_PER_BLOCK)) * REPLICATES_PER_BLOCK
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, replicates, width):
+        pos = terminal_ensemble(mu0, n, occ.t, min(width, replicates - lo), seed, lo)
+        counts += np.bincount(occ.contains(pos).sum(axis=1), minlength=n + 1)
+    freq = counts / replicates
     return PgfExpansion(
         coefficients=freq,
         negativity_flag=None,

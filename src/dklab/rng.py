@@ -3,64 +3,52 @@
 A stream is numpy's Philox4x64-10 under the 128-bit key (seed, stream_id).
 Streams with distinct keys are statistically independent, and a stream's
 output depends only on its key and the order of draws on it, never on
-scheduling.  The simulation drivers key their streams by one of two
-conventions, so that any replicate can be re-derived in isolation:
+scheduling.  The particle samplers key their draws by one convention, so
+that any replicate can be re-derived in isolation:
 
-- Paths: particle i of replicate r draws its steps from stream
-  r * 2**32 + i (replicate_stream_ids), one stream per particle, so a
-  path of any length is the head of that stream.  The path sampler in
-  particles (simulate_path, martingale_ensemble) keys its draws this way.
-- One draw: replicates come in blocks of REPLICATES_PER_BLOCK = 1024, and
-  block b = r // 1024 is stream b * 2**32 + 2**32 - 1 (block_stream_ids).
-  Particle i of replicate r takes normal (r mod 1024) * n + i of its
-  block's stream, counting from the start of the stream.  The one-draw
-  sampler particles.standard_increments, and through it terminal_ensemble,
-  duality and the pgf Monte Carlo check, keys its draws this way: numpy
-  fills a block's 1024 n normals in one call, at a small fraction of the
-  cost of 1024 n streams of one draw each.
+- Replicates come in blocks of REPLICATES_PER_BLOCK = 1024, and block
+  b = r // 1024 is stream b * 2**32 + 2**32 - 1 (block_stream_ids).  A
+  replicate of width normals (n particles of num_steps steps each) takes
+  normals (r mod 1024) * width to (r mod 1024 + 1) * width - 1 of its
+  block's stream, counting from the start of the stream: particle i,
+  step k takes normal ((r mod 1024) * n + i) * num_steps + k.  The path
+  sampler of particles (simulate_path, martingale_ensemble) and its
+  one-step case, standard_increments (terminal_ensemble, duality and the
+  pgf Monte Carlo check), draw this way, through block_pieces: numpy
+  fills a block's normals in a few calls, at a small fraction of the cost
+  of a stream per particle.
 
-Keys wrap mod 2**64.  The low word 2**32 - 1 of a block key is never a
-particle index of a path, so the two conventions share no key at fewer
-than 2**32 - 1 particles; blocks stay distinct for r < 2**42, paths for
-r < 2**32.
+The breakdown members of spde draw from stream r * 2**32 (REPLICATE_STRIDE)
+for member r.  Keys wrap mod 2**64.  The low word of a block key is
+2**32 - 1 and that of a member key is 0, so the two never share a key;
+blocks stay distinct for r < 2**42.
 
-There are two ways to draw any stream:
+There are three ways to draw a stream:
 
 - RngStream(seed, stream_id).generator is the live stream, a numpy
   Generator, for callers that draw step by step and may stop early.
 - normals(seed, stream_ids, count) is the first count standard normals of
   every stream of an array of keys, bit for bit what count
   standard_normal() draws on each live stream would give.
+- block_pieces(seed, width, lo, hi, cap, out) walks the replicates of the
+  block convention in pieces of bounded size.
 
-Both ways, and the one-draw sampler, reset one Philox bit generator to
-each key in turn and let numpy fill the draws (_streams); the path
-sampler fills its position array through the same loop (_fill_normals),
-so its draws need no array of their own.
-
-The per-stream loop of _fill_normals runs one thread at a time, under a
-lock.  Its Python work per stream holds the GIL, so threads that draw
-together trade the GIL on every stream: two of them ran at 0.75x the
-speed of the same draws made one after the other.  Under the lock, the
-other threads of a pool run their GIL-free numpy work meanwhile.
+normals and block_pieces reset one Philox bit generator to each key in
+turn and let numpy fill the draws (_streams).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_PARTICLE_BITS = 32
-REPLICATE_STRIDE = 1 << _PARTICLE_BITS
+REPLICATE_STRIDE = 1 << 32
 
-# replicates per stream of the one-draw convention (see the module docstring)
+# replicates per stream of the block convention (see the module docstring)
 REPLICATES_PER_BLOCK = 1024
 
 _MASK64 = (1 << 64) - 1
-
-# serialises _fill_normals' per-stream loop across threads (see there)
-_DRAW_LOCK = threading.Lock()
 
 
 def _philox_state(seed: int, stream_id: int) -> dict:
@@ -97,15 +85,10 @@ class RngStream:
         return self._gen
 
 
-def replicate_stream_ids(replicates: int, n: int, first_replicate: int = 0) -> np.ndarray:
-    """Stream ids (first_replicate + r) * 2**32 + i mod 2**64, shape (replicates, n)."""
-    reps = np.arange(replicates, dtype=np.uint64) + np.uint64(first_replicate & _MASK64)
-    return (reps << np.uint64(_PARTICLE_BITS))[:, None] + np.arange(n, dtype=np.uint64)
-
-
 def block_stream_ids(blocks: int, first_block: int = 0) -> np.ndarray:
     """Stream ids (first_block + b) * 2**32 + 2**32 - 1 mod 2**64, shape (blocks,)."""
-    return replicate_stream_ids(blocks, 1, first_block)[:, 0] + np.uint64(REPLICATE_STRIDE - 1)
+    b = np.arange(blocks, dtype=np.uint64) + np.uint64(first_block & _MASK64)
+    return (b << np.uint64(32)) + np.uint64(REPLICATE_STRIDE - 1)
 
 
 def _streams(seed: int, ids: np.ndarray):
@@ -132,26 +115,46 @@ def _streams(seed: int, ids: np.ndarray):
         yield gen
 
 
-def _fill_normals(seed: int, ids: np.ndarray, out: np.ndarray) -> None:
-    """Write the first out.shape[1] normals of stream (seed, ids[j]) into out[j].
+def block_pieces(seed: int, width: int, lo: int, hi: int, cap: int, out: np.ndarray):
+    """The normals of replicates lo..hi-1 of the block convention, piece by piece.
 
-    out is float64 of shape (ids.size, count) with contiguous rows, such as
-    a column slice of a C-ordered array.
+    Yields (a, b, z) for consecutive pieces [a, b) of at most cap
+    replicates, in order; z, of shape (b - a, width), holds their normals:
+    row r is normals ((a + r) mod 1024) * width onward of the stream of
+    block (a + r) // 1024 (see the module docstring).  z is a view of the head
+    of out, a contiguous 1-D float64 buffer of at least min(cap, hi - lo) *
+    width entries, and is valid until the next piece.
 
-    The loop runs under _DRAW_LOCK, one thread at a time.  Each stream holds
-    the GIL for its Philox reset and the Python call (about 1.9 of 6.6 us
-    at 200 draws) and releases it for numpy's fill, so two threads drawing
-    at once hand the GIL back and forth on every stream: measured over
-    25 000 streams of 200 draws each, two concurrent calls ran at 0.75x the
-    speed of the same calls one after the other.  Under the lock, one
-    thread draws while the others do GIL-free numpy work (the path pool's
-    Fourier moments).  The draws do not depend on the order of calls.
+    The stream of the current block stays live from piece to piece, so a
+    piece costs one standard_normal(out=...) call per block it touches, and
+    numpy releases the GIL for the fill.  A range that starts inside a
+    block draws that block's head into out and drops it, so every piece is
+    bitwise the matching rows of any larger range.
     """
-    with _DRAW_LOCK:
-        for row, gen in zip(out, _streams(seed, ids)):
-            # size is left out: numpy would check it against row.shape on every
-            # call, about 0.6 us a stream, and out= alone fixes the count
-            gen.standard_normal(out=row)
+    if hi <= lo:
+        return
+    first_block, offset = divmod(lo, REPLICATES_PER_BLOCK)
+    blocks = (hi - 1) // REPLICATES_PER_BLOCK - first_block + 1
+    streams = _streams(seed, block_stream_ids(blocks, first_block))
+    gen = next(streams)
+    head = offset * width
+    while head:  # the block's head, before the range, through out
+        k = min(head, out.size)
+        gen.standard_normal(out=out[:k])
+        head -= k
+    block_end = (first_block + 1) * REPLICATES_PER_BLOCK
+    for a in range(lo, hi, cap):
+        b = min(a + cap, hi)
+        z = out[: (b - a) * width]
+        r = a
+        while r < b:
+            if r == block_end:
+                gen = next(streams)
+                block_end += REPLICATES_PER_BLOCK
+            s = min(b, block_end)
+            gen.standard_normal(out=z[(r - a) * width : (s - a) * width])
+            r = s
+        yield a, b, z.reshape(b - a, width)
 
 
 def normals(seed: int, stream_ids, count: int) -> np.ndarray:
@@ -167,7 +170,8 @@ def normals(seed: int, stream_ids, count: int) -> np.ndarray:
         raise TypeError(f"stream_ids must be an integer array, got dtype {ids.dtype}")
     flat = ids.astype(np.uint64, copy=False).ravel()
     out = np.empty((flat.size, count))
-    _fill_normals(seed, flat, out)
+    for row, gen in zip(out, _streams(seed, flat)):
+        gen.standard_normal(out=row)
     return out.reshape(ids.shape + (count,))
 
 

@@ -5,7 +5,7 @@ the implementation under test: explicit finite differences for the PDEs,
 direct convolution for the Poisson binomial, quadrature against the
 periodized Gaussian kernel, the defining spectral identity for the
 squared-gradient form, the chi-square tail summed in 60-digit decimal
-arithmetic, and the one-draw increments read off whole live streams.
+arithmetic, and the block-convention draws read off whole live streams.
 """
 
 from __future__ import annotations
@@ -162,19 +162,24 @@ def chi2_sf_exact(df: int, x: float) -> float:
         return float(total)
 
 
-def block_increments(seed: int, n: int, replicates: int, first_replicate: int = 0) -> np.ndarray:
-    """standard_increments(n, replicates, seed, first_replicate), straight from numpy.
+def block_increments(
+    seed: int, n: int, replicates: int, first_replicate: int = 0, num_steps: int = 1
+) -> np.ndarray:
+    """The block-convention normals of replicates first_replicate onward, straight from numpy.
 
-    Replicate r, particle i is normal (r mod 1024) n + i of the live
-    stream (seed, (r // 1024) 2**32 + 2**32 - 1 mod 2**64), each block's
-    1024 n normals drawn in one call from the stream's start.
+    Row j, of n * num_steps normals, is replicate r = first_replicate + j:
+    normals (r mod 1024) n num_steps onward of the live stream (seed,
+    (r // 1024) 2**32 + 2**32 - 1 mod 2**64), each block's 1024 n num_steps
+    normals drawn in one call from the stream's start.  At num_steps = 1
+    this is standard_increments(n, replicates, seed, first_replicate).
     """
+    width = n * num_steps
     blocks = {}
-    out = np.empty((replicates, n))
+    out = np.empty((replicates, width))
     for j in range(replicates):
         b, k = divmod(first_replicate + j, 1024)
         if b not in blocks:
             key = (b * 2**32 + 2**32 - 1) & ((1 << 64) - 1)
-            blocks[b] = RngStream(seed, key).generator.standard_normal(1024 * n)
-        out[j] = blocks[b][k * n : (k + 1) * n]
+            blocks[b] = RngStream(seed, key).generator.standard_normal(1024 * width)
+        out[j] = blocks[b][k * width : (k + 1) * width]
     return out

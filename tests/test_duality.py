@@ -100,8 +100,8 @@ class TestSingleCell:
 
 
 class TestPieces:
-    """The pairs of a cell are walked in pieces of whole blocks of draws, as
-    many as fit in _PIECE_BYTES, at least one."""
+    """The pairs of a cell are walked in pieces of at most _PIECE_BYTES of
+    draws: whole blocks where one fits, else at least one pair."""
 
     @pytest.mark.parametrize("n", [3, 9])
     def test_piece_size_does_not_change_the_report(self, dom, n, monkeypatch):
@@ -122,7 +122,7 @@ class TestPieces:
         f = default_f_suite()[2][1]
         args = (2, equally_spaced_atoms(2), f, 0.05, 6154, 2**63 + 9)
         want = run_duality_test(*args, dom=dom)
-        monkeypatch.setattr(duality, "_PIECE_BYTES", 1)
+        monkeypatch.setattr(duality, "_PIECE_BYTES", 8 * 2 * 1024)
         assert run_duality_test(*args, dom=dom) == want
 
     def test_thread_count_does_not_change_the_report(self, dom, monkeypatch):
@@ -150,6 +150,21 @@ class TestPieces:
         small, large = peak(2 * 10**5), peak(4 * 10**5)
         values = 8 * (4 * 10**5 - 2 * 10**5) // 2  # one float64 a pair
         assert large - small <= values + 64 * 1024
+
+    def test_peak_memory_does_not_grow_with_alpha(self, dom):
+        # at alpha = 256 a block of draws is 2 MiB, so the pieces (64 pairs
+        # at the default cap) must be smaller than a block: pieces of one
+        # whole block would peak at 12.7 MB here
+        mu0 = equally_spaced_atoms(256)
+        f = default_f_suite()[2][1]
+        run_duality_test(256, mu0, f, 0.01, 200, 12, dom=dom)
+        tracemalloc.start()
+        try:
+            run_duality_test(256, mu0, f, 0.01, 4096, 12, dom=dom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 10**6, peak
 
 
 def pairings_long_double(f, x0, step):

@@ -1,6 +1,7 @@
 """Particle construction, martingale functional and QV statistics."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dklab import particles, rng
+from dklab import particles
 from dklab import (
     EmpiricalMeasure,
     FourierFunction,
@@ -31,14 +32,13 @@ except ImportError:  # not on Windows
 
 
 def stream_normals(seed, replicate, n, count):
-    """The first count normals of the streams (seed, replicate * 2**32 + i),
-    i < n, from numpy's own Philox; shape (n, count)."""
-    bg = np.random.Philox()
-    out = np.empty((n, count))
-    for i in range(n):
-        bg.state = rng._philox_state(seed, replicate * 2**32 + i)
-        out[i] = np.random.Generator(bg).standard_normal(count)
-    return out
+    """The count normals of each particle of path `replicate`, shape (n, count),
+    read off numpy's Philox stream of the replicate's block (oracles)."""
+    return block_increments(seed, n, 1, replicate, count).reshape(n, count)
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 def cos1():
@@ -136,18 +136,19 @@ class TestSimulatePath:
                 terminal_ensemble(mu0, 2, t, 10, seed=1)
 
     def test_terminal_matches_per_stream_draws(self):
-        # the one-draw convention: replicate r, particle i is normal
-        # (r mod 1024) n + i of its block's stream, read off numpy directly;
-        # 2100 replicates fill two blocks and start a third
+        # replicate r, particle i is normal (r mod 1024) n + i of its block's
+        # stream, read off numpy directly, and the final state of the
+        # one-step path r; 2100 replicates fill two blocks and start a third
         mu0 = EmpiricalMeasure([0.1, 0.6])
         for seed in (21, 2**63 + 21):
             batch = terminal_ensemble(mu0, 2, 0.05, 2100, seed=seed)
             z = block_increments(seed, 2, 2100)
             assert np.array_equal(batch, wrap(mu0.positions + np.sqrt(2 * 0.05) * z))
             assert np.array_equal(terminal_ensemble(mu0, 2, 0.05, 1, seed=seed), batch[:1])
-            # not the one-step path of the path convention
-            one_step = simulate_path(mu0, 2, 0.05, 1, seed, 0)
-            assert not np.array_equal(batch[0], one_step.positions[1])
+            assert np.array_equal(terminal_ensemble(mu0, 2, 0.05, 77, seed, 1000), batch[1000:1077])
+            for r in (0, 1, 1023, 1024, 1500, 2048, 2099):
+                one_step = simulate_path(mu0, 2, 0.05, 1, seed, r)
+                assert np.array_equal(batch[r], one_step.positions[1])
 
     @pytest.mark.parametrize("t_final, num_steps, name", [(-0.01, 10, "t_final"),
                                                           (0.05, 0, "num_steps")])
@@ -198,15 +199,16 @@ class TestMartingaleFunctional:
         assert np.allclose(ms.m_values, total / n, atol=1e-12)
 
     def test_ensemble_matches_per_path(self):
-        # reference paths built here from numpy's Philox, stream by stream
+        # reference paths built here from numpy's Philox, block by block;
+        # 2100 replicates, so some paths sit in the second and third blocks
         mu0 = EmpiricalMeasure([0.3, 0.8])
         phi = FourierFunction.from_modes(cos={1: 0.5})
         t, steps = 0.05, 30
         times = np.linspace(0.0, t, steps + 1)
         sigma = np.sqrt(2 * (t / steps))
         for seed in (34, 2**63 + 34):
-            m, qv, _ = martingale_ensemble(mu0, 2, phi, t, steps, 10, seed=seed)
-            for r in range(10):
+            m, qv, _ = martingale_ensemble(mu0, 2, phi, t, steps, 2100, seed=seed)
+            for r in (*range(10), 1023, 1024, 1777, 2047, 2048, 2099):
                 z = stream_normals(seed, r, 2, steps)
                 walk = wrap(mu0.positions + np.cumsum(z.T, axis=0) * sigma)
                 want = np.vstack([mu0.positions, walk])
@@ -240,25 +242,61 @@ class TestEnsembleChunks:
                 m2, qv2, _ = martingale_ensemble(*args)
                 assert np.array_equal(m1, m2) and np.array_equal(qv1, qv2)
 
-    def test_paths_into_a_poisoned_buffer(self):
+    @pytest.mark.parametrize("replicates", [1000, 2100, 3000])
+    def test_block_slabs_do_not_change_results(self, replicates, monkeypatch):
+        # fewer replicates than a block, and counts that are not a multiple
+        # of 1024: every thread count and piece size gives the same bits,
+        # and each ensemble is the head of the largest one
         mu0 = EmpiricalMeasure([0.1, 0.5, 0.7])
-        want = particles._paths(mu0, 0.3, 40, 2**63 + 77, 5, 12)
-        buffer = np.full(want.size + 100, np.nan)
-        got = particles._paths(mu0, 0.3, 40, 2**63 + 77, 5, 12, out=buffer)
-        assert np.shares_memory(got, buffer)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.isnan(buffer[want.size :]).all()
+        args = (mu0, 3, self.PHI, 0.03, 20, replicates, 2**63 + 78)
+        want = martingale_ensemble(*args, threads=1)
+        full = martingale_ensemble(*args[:5], 3000, args[6], threads=2)
+        assert np.array_equal(bits(want[0]), bits(full[0][:replicates]))
+        assert np.array_equal(bits(want[1]), bits(full[1][:replicates]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch every microsecond
+        try:
+            for budget in (None, 37 * 21 * 3 * 8):  # pieces of 37 cross the block edges
+                if budget is not None:
+                    monkeypatch.setattr(particles, "_CHUNK_BYTES", budget)
+                for threads in (1, 2, 3):
+                    m, qv, _ = martingale_ensemble(*args, threads=threads)
+                    assert np.array_equal(bits(m), bits(want[0]))
+                    assert np.array_equal(bits(qv), bits(want[1]))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_paths_into_a_poisoned_buffer(self):
+        # pieces of 3 replicates, the last of 1, from a range inside a block
+        mu0 = EmpiricalMeasure([0.1, 0.5, 0.7])
+        args = (mu0, 0.3, 40, 2**63 + 77, 5, 12, 3)
+        size = 3 * 3 * 41
+
+        def pieces(positions, draws):
+            return [(a, b, x.copy(), x) for a, b, x in
+                    particles._path_pieces(*args, positions, draws)]
+
+        want = pieces(np.empty(size), np.empty(size))
+        positions = np.full(size + 100, np.nan)
+        draws = np.full(size + 100, np.nan)
+        got = pieces(positions, draws)
+        assert [(a, b) for a, b, _, _ in got] == [(5, 8), (8, 11), (11, 12)]
+        for (a, b, x, view), (_, _, w, _) in zip(got, want):
+            assert np.shares_memory(view, positions)
+            assert np.array_equal(bits(x), bits(w))
+        assert np.isnan(positions[size:]).all()
 
     def test_every_chunk_within_budget(self, monkeypatch):
-        # every piece of a slab is one _paths call
+        # every piece of a slab is one item of a _path_pieces walk
         spans = []
-        paths = particles._paths
+        walk = particles._path_pieces
 
-        def recording(mu0, sigma, num_steps, seed, lo, hi, out=None):
-            spans.append((lo, hi))
-            return paths(mu0, sigma, num_steps, seed, lo, hi, out)
+        def recording(*args):
+            for a, b, x in walk(*args):
+                spans.append((a, b))
+                yield a, b, x
 
-        monkeypatch.setattr(particles, "_paths", recording)
+        monkeypatch.setattr(particles, "_path_pieces", recording)
         n, steps, replicates = 5, 200, 3000
         martingale_ensemble(EmpiricalMeasure(np.arange(n) / n), n, self.PHI, 0.02, steps,
                             replicates, 5)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,23 @@ class TestMonteCarlo:
     def test_non_integer_alpha_refused(self, occ_15):
         with pytest.raises(ValueError, match="non-integer"):
             monte_carlo_pgf(1.5, EmpiricalMeasure([0.5]), occ_15, 100, seed=1)
+
+    def test_peak_memory_does_not_grow_with_replicates(self, dom):
+        # the replicates are sampled in pieces, of which only the counts stay
+        occ = occupation(dom, [(0.2, 0.45)], t=0.05, alpha=2)
+        mu0 = EmpiricalMeasure([0.3, 0.7])
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                monte_carlo_pgf(2, mu0, occ, replicates, seed=9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first-call allocations are not piece memory
+        small, large = peak(2 * 10**4), peak(2 * 10**5)
+        assert large - small <= 64 * 1024, (small, large)
 
 
 @functools.cache

@@ -13,7 +13,7 @@ from scipy import stats
 from dklab import EmpiricalMeasure, RngStream, derive_seed, simulate_path, terminal_ensemble
 from dklab import rng
 from dklab.particles import standard_increments
-from dklab.rng import block_stream_ids, normals, replicate_stream_ids
+from dklab.rng import REPLICATE_STRIDE, block_pieces, block_stream_ids, normals
 from oracles import block_increments
 
 U64 = (1 << 64) - 1
@@ -102,15 +102,9 @@ def test_normals_match_fresh_streams():
         for sid, row in zip(ids.tolist(), want):
             fresh = RngStream(321, sid).generator.standard_normal(count)
             assert np.array_equal(bits(fresh), bits(row))
-    # the rows _paths hands _fill_normals: the [:, 1:] column slice of a
-    # C-ordered (R * n, steps + 1) array, which fixes the count by itself
-    seed, steps = 2**63 + 321, 200
-    keys = replicate_stream_ids(4, 3, 2**31 + 5).ravel()  # every key >= 2**63
-    assert (keys >= 2**63).all()
-    x = np.full((keys.size, steps + 1), np.nan)
-    rng._fill_normals(seed, keys, x[:, 1:])
-    assert np.isnan(x[:, 0]).all()
-    assert np.array_equal(bits(x[:, 1:]), bits(reference_normals(seed, keys, steps)))
+    # every key word >= 2**63, at the path length of criterion 3
+    seed, keys = 2**63 + 321, np.array([2**63, 2**63 + 5, U64 - 1, U64], dtype=np.uint64)
+    assert np.array_equal(bits(normals(seed, keys, 200)), bits(reference_normals(seed, keys, 200)))
 
 
 @pytest.mark.parametrize("first", [lambda k: 100 * k, lambda k: 1000 * k],
@@ -118,9 +112,9 @@ def test_normals_match_fresh_streams():
 def test_concurrent_draws_equal_sequential(first):
     # four threads on two cores, switching every microsecond: each
     # normals(seed, ids, 200) returns what it returns when the calls run
-    # one after the other (300-replicate ranges 100 apart overlap)
+    # one after the other (600-key ranges 100 apart overlap)
     seed, count = 2**63 + 17, 200
-    ids = [replicate_stream_ids(300, 2, first(k)).ravel() for k in range(4)]
+    ids = [np.arange(first(k), first(k) + 600, dtype=np.uint64) for k in range(4)]
     want = [normals(seed, i, count) for i in ids]
     got = [None] * len(ids)
     start = threading.Barrier(len(ids))
@@ -142,16 +136,6 @@ def test_concurrent_draws_equal_sequential(first):
     assert not any(th.is_alive() for th in threads)
     for g, w in zip(got, want):
         assert g is not None and np.array_equal(bits(g), bits(w))
-
-
-def test_failed_fill_releases_the_draw_lock():
-    # the second row is float32, so numpy refuses it after the first stream
-    ids = np.arange(3, dtype=np.uint64)
-    rows = [np.empty(200), np.empty(200, dtype=np.float32), np.empty(200)]
-    with pytest.raises(TypeError, match="float64"):
-        rng._fill_normals(5, ids, rows)
-    assert not rng._DRAW_LOCK.locked()
-    assert np.array_equal(bits(normals(5, ids, 200)), bits(reference_normals(5, ids, 200)))
 
 
 def test_stream_keys_at_and_above_two_to_the_63():
@@ -204,14 +188,38 @@ def test_block_draws_match_numpy_streams(seed, n, first_replicate, replicates):
     assert np.array_equal(bits(got), bits(whole[head : head + replicates]))
 
 
-def test_block_keys_are_not_path_keys():
-    # a block key's low word is 2**32 - 1, a path key's is a particle index
+# ranges and pieces of every size around the block edges, widths of one
+# step (standard_increments) and of several
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, U64),
+    n=st.integers(1, 4),
+    num_steps=st.integers(1, 5),
+    lo=st.one_of(st.integers(0, 3 * BLOCK), st.integers(0, U64)),
+    replicates=st.integers(1, 3 * BLOCK),
+    cap=st.one_of(st.integers(1, 40), st.integers(1, 4 * BLOCK)),
+)
+@example(seed=5, n=2, num_steps=3, lo=BLOCK - 1, replicates=BLOCK + 2, cap=BLOCK)
+@example(seed=5, n=1, num_steps=1, lo=0, replicates=3 * BLOCK, cap=BLOCK)
+def test_block_pieces_match_numpy_streams(seed, n, num_steps, lo, replicates, cap):
+    hi = lo + replicates
+    out = np.full(min(cap, replicates) * n * num_steps, np.nan)
+    pieces = [(a, b, z.copy()) for a, b, z in block_pieces(seed, n * num_steps, lo, hi, cap, out)]
+    assert [a for a, _, _ in pieces] == list(range(lo, hi, cap))
+    assert all(b == min(a + cap, hi) and z.shape == (b - a, n * num_steps) for a, b, z in pieces)
+    got = np.concatenate([z for _, _, z in pieces])
+    want = block_increments(seed, n, replicates, lo, num_steps)
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_block_keys_are_not_spde_member_keys():
+    # a block key's low word is 2**32 - 1, an SPDE member key's is 0
     for first in (0, 5, 2**31, 2**32 - 1, U64 - 2):
         blocks = block_stream_ids(4, first)
-        assert blocks.tolist() == [((first + b) * 2**32 + 2**32 - 1) & U64 for b in range(4)]
-        paths = replicate_stream_ids(6, 9, first).ravel()
-        assert np.intersect1d(blocks, paths).size == 0
-        assert (paths & np.uint64(2**32 - 1) < 9).all()
+        members = (np.arange(6, dtype=np.uint64) + np.uint64(first)) * np.uint64(REPLICATE_STRIDE)
+        assert np.intersect1d(blocks, members).size == 0
+        assert (blocks & np.uint64(2**32 - 1) == 2**32 - 1).all()
+        assert (members & np.uint64(2**32 - 1) == 0).all()
 
 
 def test_stream_ids_wrap_mod_two_to_the_64():
@@ -240,11 +248,16 @@ def test_empty_and_shaped_requests():
 
 
 def test_replicate_stream_layout():
-    ids = replicate_stream_ids(3, 4, 7)
-    assert ids.dtype == np.uint64 and ids.shape == (3, 4)
-    assert ids.tolist() == [[(7 + r) * 2**32 + i for i in range(4)] for r in range(3)]
-    top = (U64 << 32) & U64  # replicate 2**64 - 1; the next one wraps to 0
-    assert replicate_stream_ids(2, 2, U64).tolist() == [[top, top + 1], [0, 1]]
+    # replicate r draws from the stream of block r // 1024
+    ids = block_stream_ids(3, 7)
+    assert ids.dtype == np.uint64 and ids.shape == (3,)
+    assert ids.tolist() == [(7 + b) * 2**32 + 2**32 - 1 for b in range(3)]
+    for first in (0, 5, 2**31, 2**32 - 1, U64 - 2):
+        assert block_stream_ids(4, first).tolist() == [
+            ((first + b) * 2**32 + 2**32 - 1) & U64 for b in range(4)
+        ]
+    top = ((U64 << 32) | (2**32 - 1)) & U64  # block 2**64 - 1; the next one wraps to 0
+    assert block_stream_ids(2, U64).tolist() == [top, 2**32 - 1]
 
 
 def test_derive_seed_deterministic_and_spread():
