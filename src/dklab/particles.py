@@ -16,9 +16,11 @@ increments plus wrap-around), so the only discretization error is the
 trapezoid rule in the two time integrals, O((t/num_steps)^2) per integral.
 
 Every pairing <mu, f> goes through the empirical Fourier moments
-m_k = mean_i exp(2 pi i k x_i) of torus.fourier_moments: one complex
-exponential per atom and state, after which <mu, phi>, <mu, L phi> and
-<mu, Gamma phi> are dot products with their coefficients
+m_k = mean_i exp(2 pi i k x_i) of torus.fourier_moments: one cos and one
+sin of a quarter angle per atom and state, taken after the exact
+reduction x - rint(x), so the positions need no wrapping and the phase
+does not lose accuracy as a particle wanders; <mu, phi>, <mu, L phi> and
+<mu, Gamma phi> are then dot products with their coefficients
 (FourierFunction.pair_moments).  The ensemble driver integrates the
 moments over time before pairing, since it keeps only the final M_t and
 qv_t.  Each thread takes one contiguous slab of replicates

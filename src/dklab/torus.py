@@ -298,11 +298,20 @@ def fourier_moments(x, max_mode: int, weights=None) -> np.ndarray:
     into <mu, f>, for every f up to mode max_mode, at the cost of a dot
     product.
 
-    One complex exponential per point gives mode 1 and complex multiplies
-    the higher modes.  exp(2 pi i k x) has period 1, so x need not be
-    wrapped.  The weighted sums use einsum rather than matmul: BLAS rounds
-    a row differently depending on how many rows it is handed, which
-    would tie the result to how a caller batches its points.
+    Mode 1 is exp(2 pi i r) for the rest r = x - rint(x) in [-1/2, 1/2],
+    which is exact for |x| < 2**52, so x need not be wrapped and the phase
+    error does not grow with |x|: rounding 2 pi x would drop the bits of
+    x below the last bit of 2 pi x.  It is taken as the fourth power of
+    exp(i theta), theta = r pi/2 in [-pi/4, pi/4], where libm's cos and
+    sin take their fast path, and complex multiplies give the higher
+    modes.  A point's moments are bit for bit the same in any array of
+    two or more points.  A one-point array rounds otherwise: numpy
+    multiplies a single element in place through its scalar loop, not its
+    array loop.  So every square and power here stays in place, e1 *= e1
+    and ek *= e1, and the one-point bits stay those of that form.  The
+    weighted sums use einsum rather than matmul: BLAS rounds a row
+    differently depending on how many rows it is handed, which would tie
+    the result to how a caller batches its points.
     """
     x = np.asarray(x, dtype=float)
     return _fourier_moments_into(
@@ -316,9 +325,10 @@ def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarr
 
     e1_buf and ek_buf are contiguous 1-D complex buffers of at least x.size
     entries; the first x.size entries of each are overwritten, by
-    exp(2 pi i x) and by its higher powers.  A caller that takes moments
-    piece after piece passes the same two buffers every time, so no call
-    allocates (and page-faults) an array of x's size.
+    exp(2 pi i x) and by its higher powers; on the way, the first x.size
+    floats of ek_buf hold the quarter angle theta.  A caller that takes
+    moments piece after piece passes the same two buffers every time, so
+    no call allocates (and page-faults) an array of x's size.
     """
     if weights is None:
         w = np.full(x.shape[-1], 1.0 / x.shape[-1])
@@ -331,11 +341,18 @@ def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarr
     if max_mode < 1:
         return out
     e1 = e1_buf[: x.size].reshape(x.shape)
-    np.exp(np.multiply(1j * TWO_PI, x, out=e1), out=e1)
+    ek = ek_buf[: x.size].reshape(x.shape)
+    theta = ek_buf[: x.size].view(float)[: x.size].reshape(x.shape)
+    np.rint(x, out=theta)
+    np.subtract(x, theta, out=theta)
+    theta *= np.pi / 2
+    np.cos(theta, out=e1.real)
+    np.sin(theta, out=e1.imag)
+    e1 *= e1
+    e1 *= e1
     # ek is a copy of e1 multiplied in place: numpy rounds a one-point
     # np.multiply(e1, e1, out=ek) differently from ek *= e1 (it takes
     # another loop), and the copy costs nothing measurable
-    ek = ek_buf[: x.size].reshape(x.shape)
     ek[...] = e1
     for k in range(1, max_mode + 1):
         if k > 1:

@@ -43,11 +43,32 @@ independent streams, and consecutive normals of one stream are
 independent, so the particles' steps are independent standard normals
 as before. Every verdict held: z_mean went from (-1.53, -0.36, -0.62)
 to (0.61, 0.45, 0.08) and z_qv from (-0.58, -2.52, -1.39) to (-1.79,
-0.45, -0.42). All other pins are unchanged since the seed import.
+0.45, -0.42). martingale moved by round-off when the Fourier moments
+took exp(2 pi i x) as the fourth power of cos + i sin of the quarter
+angle (x - rint(x)) pi/2, where they rounded 2 pi x and took its complex
+exp (was daa7a711...c707ebc): z_mean went from (0.6141767396543992,
+0.4528779875879011, 0.08439436598559408) to (0.6141767396544222,
+0.45287798758789993, 0.08439436598559084) and z_qv from
+(-1.7930310546394614, 0.4530583638776717, -0.4221349278666809) to
+(-1.7930310546394619, 0.4530583638776725, -0.42213492786668455), z by at
+most 2.3e-14; mean_qv and se_diff did not move, and every verdict held.
+The new numbers are the more accurate: x - rint(x) is exact, so the
+phase error stays below 7.2e-16 at every |x| up to 1e6 (tests/test_torus.py
+checks 1e-15 against a long-double reference), where rounding 2 pi x
+dropped the bits of x below its last bit and the old error grew with |x|,
+to 6.1e-12 at |x| = 1e4 and 7.1e-10 at 1e6. All other pins are unchanged
+since the seed import.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+import dklab
 from dklab.cli import main, parse_manifest
 
 CASES = {
@@ -64,7 +85,7 @@ CASES = {
     "martingale": (
         ["martingale", "--alpha", "2", "--t", "0.02", "--replicates", "2000",
          "--num-steps", "50", "--seed", "11"],
-        "daa7a711fb458413a04a323280ea92c0a3ae6a4932baf2287a9a67026c707ebc",
+        "cf87c23162179ed25f41e1e2790f89ee5f33e2225ff778d0437796637a4965d1",
     ),
     "pgf-fractional": (
         ["pgf", "--alpha", "1.5", "--t", "0.05", "--order", "8"],
@@ -99,3 +120,43 @@ def test_results_digest_pinned(name, threads, tmp_path, monkeypatch):
     out = tmp_path / f"{name}.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert parse_manifest(str(out) + ".manifest")["results_sha256"] == digest
+
+
+# numpy's AVX-512 dispatch targets; NPY_DISABLE_CPU_FEATURES set to these
+# makes a child process run the code paths of an x86-64 CPU without AVX-512
+NO_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+
+# the child checks that the variable took effect, then prints the digest
+_REPLAY_CHILD = (
+    "import sys\n"
+    "from numpy._core._multiarray_umath import __cpu_features__\n"
+    "from dklab.cli import main, parse_manifest\n"
+    "assert not any(__cpu_features__.get(name) for name in sys.argv[2].split())\n"
+    "assert main(sys.argv[3:] + ['--out', sys.argv[1]]) == 0\n"
+    "print(parse_manifest(sys.argv[1] + '.manifest')['results_sha256'])\n"
+)
+
+
+def _host_dispatches_avx512() -> bool:
+    features = np._core._multiarray_umath.__cpu_features__
+    return any(features.get(name) for name in NO_AVX512)
+
+
+# The first slice of a gate for replay on other x86-64 CPUs.  Every case
+# but pgf-fractional replays without AVX-512; pgf-fractional's
+# coefficients move in their last digits there, through numpy's exp and
+# log loops.  Without AVX2/FMA too (X86_V3), martingale's complex
+# multiplies move as well, so that level is not gated yet.
+@pytest.mark.skipif(not _host_dispatches_avx512(), reason="numpy dispatches no AVX-512 here")
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"pgf-fractional"}))
+def test_digest_pinned_without_avx512(name, tmp_path):
+    argv, digest = CASES[name]
+    src = str(pathlib.Path(dklab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(NO_AVX512)}
+    res = subprocess.run(
+        [sys.executable, "-c", _REPLAY_CHILD, str(tmp_path / f"{name}.csv"),
+         " ".join(NO_AVX512), *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == digest

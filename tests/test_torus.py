@@ -261,8 +261,8 @@ class TestFourierMoments:
         with pytest.raises(ValueError, match="mode 3"):
             FourierFunction.from_modes(cos={3: 1.0}).pair_moments(m[..., :3])
 
-    # one point (x.size == 1) is the case to keep: numpy rounds its mode 2
-    # differently unless e1 * e1 is taken in place, as the body before the buffers did
+    # one point (x.size == 1) is the case to keep: numpy rounds a one-point
+    # product taken in place otherwise, and both bodies take every one in place
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -298,9 +298,71 @@ class TestFourierMoments:
         assert np.array_equal(fresh.view(np.uint64), want.view(np.uint64))
         assert np.isnan(e1[x.size :]).all() and np.isnan(ek[x.size :]).all()
 
+    def test_phase_near_exact_at_every_scale(self):
+        """Mode 1 of each point against a long-double exp(2 pi i x), within
+        1e-15 at every |x| up to 1e6 and at the exact eighths.
+
+        Measured: 6.4e-16 to 7.2e-16 at every scale, where rounding 2 pi x
+        before a complex exp gave 8.1e-14 at |x| = 1e2, 6.1e-12 at 1e4 and
+        7.1e-10 at 1e6."""
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("needs a 64-bit long double significand")
+        rng = np.random.Generator(np.random.Philox(key=(23, 1)))
+        eighths = np.arange(-64, 65) / 8
+        for x in [rng.uniform(-s, s, 20000) for s in (1.0, 1e2, 1e4, 1e6)] + [
+            eighths, eighths + 1e6
+        ]:
+            got = fourier_moments(x[:, None], 1, np.ones(1))[:, 1]
+            ang = 2 * np.arccos(np.longdouble(-1)) * (x - np.rint(x)).astype(np.longdouble)
+            err = np.hypot(got.real - np.cos(ang), got.imag - np.sin(ang))
+            assert err.max() <= 1e-15, np.abs(x).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        max_mode=st.integers(1, 8),
+        points=st.sampled_from([1, 2, 3, 40]),
+        rows=st.integers(1, 5),
+        weighted=st.booleans(),
+    )
+    @example(seed=1, max_mode=8, points=1, rows=1, weighted=False)
+    @example(seed=2, max_mode=8, points=40, rows=5, weighted=True)
+    def test_close_to_the_complex_exp(self, seed, max_mode, points, rows, weighted):
+        """Within the old body's phase error at mode 1, one unit in the last
+        place of 2 pi |x| <= 8 pi (half of it for rounding the product, less
+        than half for the constant 2 pi's error times |x| <= 4), plus 8 eps
+        for the two bodies' cos, sin, exp and multiplies; k times that at
+        mode k.  Measured: up to 2.9e-15 k for one point and 3.1e-15 for
+        rows of 40 points."""
+        rng = np.random.Generator(np.random.Philox(key=(seed, 7)))
+        x = rng.uniform(-3.0, 4.0, (rows, points))
+        w = rng.uniform(0.0, 1.0, points) if weighted else None
+        new = fourier_moments(x, max_mode, w)
+        old = fourier_moments_by_complex_exp(x, max_mode, w)
+        mass = 1.0 if w is None else w.sum()
+        eps = np.finfo(float).eps
+        tol = np.arange(max_mode + 1) * (np.spacing(TWO_PI * 4.0) + 8 * eps) * mass
+        assert np.all(np.abs(new - old) <= tol)
+
+    def test_point_does_not_depend_on_its_batch(self):
+        """A point's moments, bit for bit, in arrays of 2 to 70, 300 and
+        1000 points, each at a run of offsets into a longer array.
+
+        One-point arrays are the exception: numpy multiplies one element in
+        place through its scalar loop, which rounds otherwise."""
+        rng = np.random.Generator(np.random.Philox(key=(29, 3)))
+        pts = np.concatenate([rng.uniform(-3.0, 4.0, 1100), np.arange(-16, 17) / 8])
+        want = fourier_moments(pts[:, None], 6, np.ones(1))
+        for size in [*range(2, 71), 300, 1000]:
+            for start in range(0, pts.size - size + 1, max(1, size // 3)):
+                got = fourier_moments(pts[start : start + size, None], 6, np.ones(1))
+                assert np.array_equal(
+                    got.view(np.uint64), want[start : start + size].view(np.uint64)
+                ), (size, start)
+
 
 def fourier_moments_with_fresh_arrays(x, max_mode, weights=None):
-    """fourier_moments as it was before it took its complex arrays from buffers."""
+    """fourier_moments with a fresh array for each step, in place of buffers."""
     x = np.asarray(x, dtype=float)
     if weights is None:
         w = np.full(x.shape[-1], 1.0 / x.shape[-1])
@@ -312,6 +374,27 @@ def fourier_moments_with_fresh_arrays(x, max_mode, weights=None):
     out[..., 0] = mass
     if max_mode < 1:
         return out
+    theta = (x - np.rint(x)) * (np.pi / 2)
+    e1 = np.empty(x.shape, dtype=complex)
+    e1.real = np.cos(theta)
+    e1.imag = np.sin(theta)
+    e1 *= e1
+    e1 *= e1
+    ek = e1.copy()
+    for k in range(1, max_mode + 1):
+        if k > 1:
+            ek *= e1
+        out[..., k] = np.einsum("...j,j->...", ek, w)
+    return out
+
+
+def fourier_moments_by_complex_exp(x, max_mode, weights=None):
+    """fourier_moments as it was before it reduced x: exp(2 pi i x) of
+    the unreduced positions."""
+    x = np.asarray(x, dtype=float)
+    w = np.full(x.shape[-1], 1.0 / x.shape[-1]) if weights is None else weights
+    out = np.empty(x.shape[:-1] + (max_mode + 1,), dtype=complex)
+    out[..., 0] = w.sum()
     e1 = np.exp((1j * TWO_PI) * x)
     ek = e1.copy()
     for k in range(1, max_mode + 1):
