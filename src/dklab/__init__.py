@@ -48,7 +48,7 @@ from .pgf import (
     series_from_bernoulli,
     verdict_from_expansion,
 )
-from .rng import RngStream, derive_seed, normals
+from .rng import RngStream, derive_seed
 from .spde import (
     BreakdownReport,
     DensityField,

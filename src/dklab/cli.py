@@ -14,7 +14,8 @@ flags, the config-file keys, their defaults and the manifest's config
 echo are all read from them, and the argument parser is built from them
 once per process, on first use.  Flags override config-file values;
 DKLAB_THREADS caps the worker threads of the martingale path ensemble,
-the only work that runs on threads, and never changes results.
+the only work that runs on threads, at most one a core, and never
+changes results.
 """
 
 from __future__ import annotations

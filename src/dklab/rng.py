@@ -12,29 +12,26 @@ that any replicate can be re-derived in isolation:
   normals (r mod 1024) * width to (r mod 1024 + 1) * width - 1 of its
   block's stream, counting from the start of the stream: particle i,
   step k takes normal ((r mod 1024) * n + i) * num_steps + k.  The path
-  sampler of particles (simulate_path, martingale_ensemble) and its
-  one-step case, standard_increments (terminal_ensemble, duality and the
-  pgf Monte Carlo check), draw this way, through block_pieces: numpy
-  fills a block's normals in a few calls, at a small fraction of the cost
-  of a stream per particle.
+  sampler of particles (simulate_path, martingale_ensemble), its one-step
+  case standard_increments (terminal_ensemble and the pgf Monte Carlo
+  check) and the antithetic pairs of duality (one step of n particles a
+  pair) all draw this way, through block_pieces: numpy fills a block's
+  normals in a few calls, at a small fraction of the cost of a stream per
+  particle.
 
 The breakdown members of spde draw from stream r * 2**32 (REPLICATE_STRIDE)
 for member r.  Keys wrap mod 2**64.  The low word of a block key is
 2**32 - 1 and that of a member key is 0, so the two never share a key;
 blocks stay distinct for r < 2**42.
 
-There are three ways to draw a stream:
+There are two ways to draw a stream:
 
 - RngStream(seed, stream_id).generator is the live stream, a numpy
   Generator, for callers that draw step by step and may stop early.
-- normals(seed, stream_ids, count) is the first count standard normals of
-  every stream of an array of keys, bit for bit what count
-  standard_normal() draws on each live stream would give.
 - block_pieces(seed, width, lo, hi, cap, out) walks the replicates of the
-  block convention in pieces of bounded size.
-
-normals and block_pieces reset one Philox bit generator to each key in
-turn and let numpy fill the draws (_streams).
+  block convention in pieces of bounded size.  It resets one Philox bit
+  generator to each block key in turn, bit for bit a fresh RngStream per
+  block and much cheaper to open.
 """
 
 from __future__ import annotations
@@ -51,20 +48,6 @@ REPLICATES_PER_BLOCK = 1024
 _MASK64 = (1 << 64) - 1
 
 
-def _philox_state(seed: int, stream_id: int) -> dict:
-    return {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 @dataclass
 class RngStream:
     """One logical random stream, owned by a single task at a time."""
@@ -76,12 +59,10 @@ class RngStream:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            # key and state as uint64 arrays: numpy reads a tuple key through
+            # the key as a uint64 array: numpy reads a tuple key through
             # float64, which rounds words >= 2**63
-            state = _philox_state(self.seed, self.stream_id)
-            bg = np.random.Philox(key=state["state"]["key"])
-            bg.state = state
-            self._gen = np.random.Generator(bg)
+            key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(key=key))
         return self._gen
 
 
@@ -89,30 +70,6 @@ def block_stream_ids(blocks: int, first_block: int = 0) -> np.ndarray:
     """Stream ids (first_block + b) * 2**32 + 2**32 - 1 mod 2**64, shape (blocks,)."""
     b = np.arange(blocks, dtype=np.uint64) + np.uint64(first_block & _MASK64)
     return (b << np.uint64(32)) + np.uint64(REPLICATE_STRIDE - 1)
-
-
-def _streams(seed: int, ids: np.ndarray):
-    """Each stream (seed, id) of the uint64 keys ids in turn, as a Generator at its start.
-
-    One Philox bit generator is reset to each key, which is bit-identical
-    to a fresh RngStream per key and about an order of magnitude cheaper.
-    The same Generator object is yielded every time: it is valid until the
-    next key.
-    """
-    bg = np.random.Philox(0)
-    gen = np.random.Generator(bg)
-    # the reset state in plain ints and lists: numpy's state setter reads
-    # them about 2.5x faster than uint64 arrays, same draws
-    key = [int(seed) & _MASK64, 0]
-    state = {
-        **_philox_state(key[0], 0),
-        "state": {"counter": [0, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-    }
-    for stream_id in ids.tolist():
-        key[1] = stream_id
-        bg.state = state
-        yield gen
 
 
 def block_pieces(seed: int, width: int, lo: int, hi: int, cap: int, out: np.ndarray):
@@ -135,8 +92,23 @@ def block_pieces(seed: int, width: int, lo: int, hi: int, cap: int, out: np.ndar
         return
     first_block, offset = divmod(lo, REPLICATES_PER_BLOCK)
     blocks = (hi - 1) // REPLICATES_PER_BLOCK - first_block + 1
-    streams = _streams(seed, block_stream_ids(blocks, first_block))
-    gen = next(streams)
+    ids = iter(block_stream_ids(blocks, first_block).tolist())
+    bg = np.random.Philox(0)
+    gen = np.random.Generator(bg)
+    # the start of stream (seed, id) for each block key in turn, in plain
+    # ints and lists: numpy's state setter reads them about 2.5x faster
+    # than uint64 arrays, and resetting one Philox is about 20x cheaper
+    # than a fresh RngStream, with the same draws
+    key = [int(seed) & _MASK64, next(ids)]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bg.state = state
     head = offset * width
     while head:  # the block's head, before the range, through out
         k = min(head, out.size)
@@ -149,30 +121,13 @@ def block_pieces(seed: int, width: int, lo: int, hi: int, cap: int, out: np.ndar
         r = a
         while r < b:
             if r == block_end:
-                gen = next(streams)
+                key[1] = next(ids)
+                bg.state = state
                 block_end += REPLICATES_PER_BLOCK
             s = min(b, block_end)
             gen.standard_normal(out=z[(r - a) * width : (s - a) * width])
             r = s
         yield a, b, z.reshape(b - a, width)
-
-
-def normals(seed: int, stream_ids, count: int) -> np.ndarray:
-    """The first count standard normals of each stream (seed, id).
-
-    The result has shape stream_ids.shape + (count,), and its row for id is
-    bit for bit RngStream(seed, id).generator.standard_normal(count).
-    stream_ids is an integer array whose values are taken mod 2**64.
-    """
-    ids = np.asarray(stream_ids)
-    if ids.dtype.kind not in "iu":
-        # e.g. a list mixing ints >= 2**63 with small ones becomes float64
-        raise TypeError(f"stream_ids must be an integer array, got dtype {ids.dtype}")
-    flat = ids.astype(np.uint64, copy=False).ravel()
-    out = np.empty((flat.size, count))
-    for row, gen in zip(out, _streams(seed, flat)):
-        gen.standard_normal(out=row)
-    return out.reshape(ids.shape + (count,))
 
 
 def derive_seed(seed: int, label: int) -> int:

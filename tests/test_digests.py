@@ -125,6 +125,8 @@ def test_results_digest_pinned(name, threads, tmp_path, monkeypatch):
 # numpy's AVX-512 dispatch targets; NPY_DISABLE_CPU_FEATURES set to these
 # makes a child process run the code paths of an x86-64 CPU without AVX-512
 NO_AVX512 = ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+# and with X86_V3 too, those of an x86-64-v2 CPU, without AVX2 and FMA
+NO_X86_V3 = NO_AVX512 + ("X86_V3",)
 
 # the child checks that the variable took effect, then prints the digest
 _REPLAY_CHILD = (
@@ -137,26 +139,37 @@ _REPLAY_CHILD = (
 )
 
 
-def _host_dispatches_avx512() -> bool:
+def _host_dispatches(level) -> bool:
     features = np._core._multiarray_umath.__cpu_features__
-    return any(features.get(name) for name in NO_AVX512)
+    return any(features.get(name) for name in level)
 
 
-# The first slice of a gate for replay on other x86-64 CPUs.  Every case
-# but pgf-fractional replays without AVX-512; pgf-fractional's
-# coefficients move in their last digits there, through numpy's exp and
-# log loops.  Without AVX2/FMA too (X86_V3), martingale's complex
-# multiplies move as well, so that level is not gated yet.
-@pytest.mark.skipif(not _host_dispatches_avx512(), reason="numpy dispatches no AVX-512 here")
-@pytest.mark.parametrize("name", sorted(set(CASES) - {"pgf-fractional"}))
-def test_digest_pinned_without_avx512(name, tmp_path):
-    argv, digest = CASES[name]
+def _replay_digest(name, level, tmp_path) -> str:
+    """The digest of CASES[name], run in a child process with level disabled."""
+    argv, _ = CASES[name]
     src = str(pathlib.Path(dklab.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": " ".join(NO_AVX512)}
+    disabled = " ".join(level)
+    env = {**os.environ, "PYTHONPATH": src, "NPY_DISABLE_CPU_FEATURES": disabled}
     res = subprocess.run(
-        [sys.executable, "-c", _REPLAY_CHILD, str(tmp_path / f"{name}.csv"),
-         " ".join(NO_AVX512), *argv],
+        [sys.executable, "-c", _REPLAY_CHILD, str(tmp_path / f"{name}.csv"), disabled, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split()[-1] == digest
+    return res.stdout.split()[-1]
+
+
+# Slices of a gate for replay on other x86-64 CPUs.  Every case but
+# pgf-fractional replays without AVX-512; pgf-fractional's coefficients
+# move in their last digits there, through numpy's exp and log loops.
+# Without AVX2/FMA too (X86_V3), martingale's complex multiplies move as
+# well, so at that level every case but those two is gated.
+@pytest.mark.skipif(not _host_dispatches(NO_AVX512), reason="numpy dispatches no AVX-512 here")
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"pgf-fractional"}))
+def test_digest_pinned_without_avx512(name, tmp_path):
+    assert _replay_digest(name, NO_AVX512, tmp_path) == CASES[name][1]
+
+
+@pytest.mark.skipif(not _host_dispatches(("X86_V3",)), reason="numpy dispatches no X86_V3 here")
+@pytest.mark.parametrize("name", sorted(set(CASES) - {"pgf-fractional", "martingale"}))
+def test_digest_pinned_without_x86_v3(name, tmp_path):
+    assert _replay_digest(name, NO_X86_V3, tmp_path) == CASES[name][1]

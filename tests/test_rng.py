@@ -13,7 +13,7 @@ from scipy import stats
 from dklab import EmpiricalMeasure, RngStream, derive_seed, simulate_path, terminal_ensemble
 from dklab import rng
 from dklab.particles import standard_increments
-from dklab.rng import REPLICATE_STRIDE, block_pieces, block_stream_ids, normals
+from dklab.rng import REPLICATE_STRIDE, block_pieces, block_stream_ids
 from oracles import block_increments
 
 U64 = (1 << 64) - 1
@@ -25,28 +25,40 @@ def bits(x):
 
 def reference_normals(seed, ids, count):
     """The first count normals of each stream (seed, id), one key at a time
-    through numpy's own Philox; shape ids.shape + (count,)."""
+    through numpy's own Philox with its full state set explicitly (key,
+    counter 0, empty buffer); shape (len(ids), count)."""
     bg = np.random.Philox()
     gen = np.random.Generator(bg)
-    state = rng._philox_state(seed, 0)
-    flat = np.ravel(ids).tolist()
-    out = np.empty((len(flat), count))
-    for j, sid in enumerate(flat):
-        state["state"]["key"][1] = sid  # the state of rng._philox_state(seed, sid)
+    key = np.array([seed & U64, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    out = np.empty((len(ids), count))
+    for j, sid in enumerate(ids):
+        key[1] = sid & U64
         bg.state = state
         out[j] = gen.standard_normal(count)
-    return out.reshape(np.shape(ids) + (count,))
+    return out
+
+
+def draw(seed, stream_id, count):
+    return RngStream(seed, stream_id).generator.standard_normal(count)
 
 
 def test_same_key_same_output():
-    a = normals(123, [45], 100)
-    assert np.array_equal(a, normals(123, [45], 100))
-    assert np.array_equal(a[0], RngStream(123, 45).generator.standard_normal(100))
+    a = draw(123, 45, 100)
+    assert np.array_equal(a, draw(123, 45, 100))
+    assert np.array_equal(bits(a), bits(reference_normals(123, [45], 100)[0]))
 
 
 def test_distinct_keys_differ():
-    a, b = normals(123, [45, 46], 100)
-    c = normals(124, [45], 100)[0]
+    a, b = draw(123, 45, 100), draw(123, 46, 100)
+    c = draw(124, 45, 100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -70,7 +82,7 @@ def test_negative_variance_rejected():
 
 
 def test_sample_mean_within_lln_tolerance():
-    x = normals(7, [0], 10**6)[0]
+    x = draw(7, 0, 10**6)
     assert abs(x.mean()) < 4.0 / np.sqrt(10**6)
 
 
@@ -87,43 +99,60 @@ def test_variance_scales():
 def test_ks_statistic_below_criticial_value():
     # 0.001-level Kolmogorov-Smirnov on 1e5 samples
     n = 10**5
-    x = normals(9, [1], n)[0]
+    x = draw(9, 1, n)
     stat = stats.kstest(x, "norm").statistic
     critical = stats.kstwobign.isf(0.001) / np.sqrt(n)
     assert stat < critical
 
 
-def test_normals_match_fresh_streams():
+def test_streams_match_explicit_philox_state():
     # every count the drivers draw (1, 30, 200), repeated and far-apart ids
-    ids = np.array([0, 1, 2**32, 5 * 2**32 + 3, 1, 0, 2**63 - 1, 2**32, 7], dtype=np.uint64)
+    ids = [0, 1, 2**32, 5 * 2**32 + 3, 1, 0, 2**63 - 1, 2**32, 7]
     for count in (1, 2, 3, 16, 30, 200):
         want = reference_normals(321, ids, count)
-        assert np.array_equal(bits(normals(321, ids, count)), bits(want))
-        for sid, row in zip(ids.tolist(), want):
-            fresh = RngStream(321, sid).generator.standard_normal(count)
-            assert np.array_equal(bits(fresh), bits(row))
-    # every key word >= 2**63, at the path length of criterion 3
-    seed, keys = 2**63 + 321, np.array([2**63, 2**63 + 5, U64 - 1, U64], dtype=np.uint64)
-    assert np.array_equal(bits(normals(seed, keys, 200)), bits(reference_normals(seed, keys, 200)))
+        for sid, row in zip(ids, want):
+            assert np.array_equal(bits(draw(321, sid, count)), bits(row))
+    # key words >= 2**63 and negative ints, taken mod 2**64, at the path
+    # length of criterion 3
+    keys = [(2**63 + 321, 2**63), (2**63 + 321, U64 - 1), (U64, U64), (-1, 5),
+            (7, -1), (-(2**63), -(2**32)), (-5, 2**63 + 5)]
+    for seed, sid in keys:
+        want = reference_normals(seed & U64, [sid & U64], 200)[0]
+        assert np.array_equal(bits(draw(seed, sid, 200)), bits(want))
+        assert np.array_equal(bits(draw(seed & U64, sid & U64, 200)), bits(want))
 
 
-@pytest.mark.parametrize("first", [lambda k: 100 * k, lambda k: 1000 * k],
+BLOCK = rng.REPLICATES_PER_BLOCK
+
+
+def walk(seed, width, lo, hi, cap):
+    out = np.empty(cap * width)
+    return np.concatenate([z.copy() for _, _, z in block_pieces(seed, width, lo, hi, cap, out)])
+
+
+@pytest.mark.parametrize("first", [lambda k: 700 * k, lambda k: 3 * BLOCK * k + 500],
                          ids=["overlapping-ids", "disjoint-ids"])
 def test_concurrent_draws_equal_sequential(first):
-    # four threads on two cores, switching every microsecond: each
-    # normals(seed, ids, 200) returns what it returns when the calls run
-    # one after the other (600-key ranges 100 apart overlap)
-    seed, count = 2**63 + 17, 200
-    ids = [np.arange(first(k), first(k) + 600, dtype=np.uint64) for k in range(4)]
-    want = [normals(seed, i, count) for i in ids]
-    got = [None] * len(ids)
-    start = threading.Barrier(len(ids))
+    # four threads on two cores, switching every microsecond, each walking
+    # block_pieces as the pool's threads do: every walk returns what it
+    # returns when the walks run one after the other.  Each 1300-replicate
+    # range straddles a block edge, in pieces of 300 that straddle edges
+    # too; ranges 700 apart share block streams, ranges 3 blocks apart do not
+    seed, n, num_steps, cap = 2**63 + 17, 2, 3, 300
+    ranges = [(first(k), first(k) + 1300) for k in range(4)]
+    want = [walk(seed, n * num_steps, lo, hi, cap) for lo, hi in ranges]
+    for (lo, hi), w in zip(ranges, want):
+        oracle = block_increments(seed, n, hi - lo, lo, num_steps)
+        assert np.array_equal(bits(w), bits(oracle))
+    got = [[] for _ in ranges]
+    start = threading.Barrier(len(ranges))
 
-    def draw(k):
+    def run(k):
         start.wait(timeout=60)
-        got[k] = normals(seed, ids[k], count)
+        for _ in range(5):
+            got[k].append(walk(seed, n * num_steps, *ranges[k], cap))
 
-    threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(ids))]
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(ranges))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -135,7 +164,7 @@ def test_concurrent_draws_equal_sequential(first):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     for g, w in zip(got, want):
-        assert g is not None and np.array_equal(bits(g), bits(w))
+        assert len(g) == 5 and all(np.array_equal(bits(x), bits(w)) for x in g)
 
 
 def test_stream_keys_at_and_above_two_to_the_63():
@@ -145,17 +174,8 @@ def test_stream_keys_at_and_above_two_to_the_63():
         warnings.simplefilter("error")
         for seed, sid in keys:
             want = reference_normals(seed, [sid], 200)[0]
-            got = RngStream(seed, sid).generator.standard_normal(200)
-            assert np.array_equal(bits(got), bits(want))
-            for count in (1, 30, 200):
-                got = normals(seed, np.array([sid], dtype=np.uint64), count)[0]
-                assert np.array_equal(bits(got), bits(want[:count]))
-    a = RngStream(2**63 + 5, 0).generator.standard_normal(8)
-    b = RngStream(2**63, 0).generator.standard_normal(8)
-    assert not np.array_equal(a, b)
-
-
-BLOCK = rng.REPLICATES_PER_BLOCK
+            assert np.array_equal(bits(draw(seed, sid, 200)), bits(want))
+    assert not np.array_equal(draw(2**63 + 5, 0, 8), draw(2**63, 0, 8))
 
 
 # ranges that start inside a block, that cross two or three blocks, and
@@ -229,22 +249,11 @@ def test_stream_ids_wrap_mod_two_to_the_64():
     b = standard_increments(3, 10, 99, 2**43 - 4)
     assert np.array_equal(bits(a), bits(b))
     assert np.array_equal(bits(a), bits(block_increments(99, 3, 10, 2**42 - 4)))
-    ids = np.array([-1, -2**32, -2**63], dtype=np.int64)
-    for count in (1, 30):
-        want = reference_normals(99, [int(i) & U64 for i in ids], count)
-        assert np.array_equal(bits(normals(99, ids, count)), bits(want))
-    with pytest.raises(TypeError):
-        normals(99, [2**63 + 1, 2], 1)  # would round through float64
 
 
 def test_empty_and_shaped_requests():
     assert standard_increments(4, 0, 1).shape == (0, 4)
-    assert normals(8, np.zeros(0, dtype=np.uint64), 200).shape == (0, 200)
-    ids = np.arange(12, dtype=np.uint64).reshape(3, 2, 2)
-    for count in (1, 30):
-        got = normals(8, ids, count)
-        assert got.shape == (3, 2, 2, count)
-        assert np.array_equal(bits(got.reshape(12, count)), bits(normals(8, ids.ravel(), count)))
+    assert list(block_pieces(8, 200, 5, 5, 10, np.empty(0))) == []
 
 
 def test_replicate_stream_layout():
