@@ -23,16 +23,21 @@ does not lose accuracy as a particle wanders; <mu, phi>, <mu, L phi> and
 <mu, Gamma phi> are then dot products with their coefficients
 (FourierFunction.pair_moments).  The ensemble driver integrates the
 moments over time before pairing, since it keeps only the final M_t and
-qv_t.  Each thread takes one contiguous slab of replicates
-(parallel.run_chunked hands out whole blocks of 1024 replicates, the
-unit of the draws) and one set of buffers for it: the positions (at
-most _CHUNK_BYTES) and the two complex moment arrays (twice that each).
-It walks its slab in pieces that fit those buffers, so a call holds about
-5 * _CHUNK_BYTES per thread whatever the replicate count, allocates and
-page-faults that memory once, and a piece's working set stays close to
-the L2 cache.  A piece's normals are drawn into the first moment buffer,
-which the moments overwrite only after the positions are summed from
-them.  Every step releases the GIL: one standard_normal fill per block a
+qv_t.  On T steps of dt the trapezoid integral of a mode is
+dt [(T + 1) mean - (initial + final) / 2]: mean is the plain mean of the
+mode over a replicate's n (T + 1) grid points, one pairwise row sum, and
+initial and final are the moments of mu_0 and of the final state, which
+the ensemble takes anyway, so no time weights are applied.  Each thread
+takes one contiguous slab of replicates (parallel.run_chunked hands out
+whole blocks of 1024 replicates, the unit of the draws) and one set of
+buffers for it: the positions (at most _CHUNK_BYTES) and the two
+complex moment arrays (twice that each).  It walks its slab in pieces
+that fit those buffers, so a call holds about 5 * _CHUNK_BYTES per
+thread whatever the replicate count, allocates and page-faults that
+memory once, and a piece's working set stays close to the L2 cache.  A
+piece's normals are drawn into the first moment buffer, which the
+moments overwrite only after the positions are summed from them.  Every
+step releases the GIL: one standard_normal fill per block a
 piece touches (rng.block_pieces), the cumulative sum and the Fourier
 moments.
 """
@@ -258,15 +263,6 @@ def _moment_order(*fs: FourierFunction) -> int:
     return max(f.max_mode for f in fs)
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    """w with sum_j w_j y_j the trapezoid rule for the integral of y over times."""
-    dt = np.diff(times)
-    w = np.zeros(times.size)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w
-
-
 @dataclass(frozen=True)
 class QvReport:
     """Ensemble statistics for the martingale and quadratic-variation checks."""
@@ -346,9 +342,10 @@ def qv_statistic(ensemble: tuple[np.ndarray, np.ndarray, float]) -> QvReport:
 #
 # Replicate r of martingale_ensemble is the path simulate_path(..., seed,
 # replicate=r): both draw through _path_pieces, by the block convention of
-# rng, and the ensemble pairs the unwrapped positions with its own time
-# weights, so its values agree with martingale_functional on that path to
-# round-off.  standard_increments is the one-step case of the same draws.
+# rng, and the ensemble takes the same trapezoid rule from the moments of
+# the unwrapped positions, so its values agree with martingale_functional
+# on that path to round-off.  standard_increments is the one-step case of
+# the same draws.
 
 
 def standard_increments(
@@ -406,23 +403,25 @@ def martingale_ensemble(
     r is the path simulate_path(..., seed, replicate=r).  Each thread
     takes one contiguous slab of whole blocks of 1024 replicates and walks
     it in pieces of at most _CHUNK_BYTES bytes of positions, whatever the
-    replicate count.  Each piece is reduced to the Fourier moments of its
-    final states and the trapezoid time integral of its moments, and the
-    three pairings are taken from those.  A thread writes all its pieces
+    replicate count.  Each piece is reduced to two sets of Fourier moments
+    per replicate: those of its final state, and the plain mean over all
+    its particles and grid times.  The trapezoid time integral of the
+    moments is dt [(num_steps + 1) mean - (initial + final) / 2], with
+    initial the moments of mu0, and the three pairings are taken from the
+    final and integrated moments.  A thread writes all its pieces
     into one positions buffer and two complex moment buffers, sized for
     one piece and allocated once per slab: about 5 * _CHUNK_BYTES per
     thread.  The normals of a piece are drawn into the first moment
     buffer, before its moments overwrite them.
     """
     n = _check_grid(mu0, alpha, t_final, num_steps)
-    times = np.linspace(0.0, t_final, num_steps + 1)
-    sigma = np.sqrt(n * (t_final / num_steps))
+    dt = t_final / num_steps
+    sigma = np.sqrt(n * dt)
     lphi = generator_L(phi)
     gphi = carre_du_champ(phi)
     order = _moment_order(phi, lphi, gphi)
-    # weights of the time integral of the particle mean, over (particle, time)
-    weights = np.tile(_trapezoid_weights(times) / n, n)
-    start = phi.pair_moments(fourier_moments(mu0.positions, order))
+    initial = fourier_moments(mu0.positions, order)
+    start = phi.pair_moments(initial)
     m_final = np.empty(replicates)
     qv_final = np.empty(replicates)
     cap = max(1, _CHUNK_BYTES // ((num_steps + 1) * n * 8))
@@ -436,8 +435,10 @@ def martingale_ensemble(
         ek = np.empty(size, dtype=complex)
         pieces = _path_pieces(mu0, sigma, num_steps, seed, lo, hi, cap, positions, e1.view(float))
         for a, b, x in pieces:
-            final = _fourier_moments_into(x[:, :, -1], order, None, e1, ek)
-            integral = _fourier_moments_into(x.reshape(b - a, -1), order, weights, e1, ek)
+            final = _fourier_moments_into(x[:, :, -1], order, e1, ek)
+            mean = _fourier_moments_into(x.reshape(b - a, -1), order, e1, ek)
+            # the trapezoid rule: every grid time weighs dt, the two ends dt / 2
+            integral = dt * ((num_steps + 1) * mean - 0.5 * (initial + final))
             m_final[a:b] = (
                 phi.pair_moments(final) - start - 0.5 * n * lphi.pair_moments(integral)
             )

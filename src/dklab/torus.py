@@ -288,15 +288,14 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def fourier_moments(x, max_mode: int, weights=None) -> np.ndarray:
-    """Fourier moments m_k = sum_j w_j exp(2 pi i k x_j), k = 0..max_mode.
+def fourier_moments(x, max_mode: int) -> np.ndarray:
+    """Fourier moments m_k = (1/N) sum_j exp(2 pi i k x_j), k = 0..max_mode.
 
-    The sum runs over the last axis of x; the result has shape
-    x.shape[:-1] + (max_mode + 1,).  With weights None every point weighs
-    1/N, so m_k is the k-th moment of the empirical measure of the points
-    and m_0 = 1 exactly; FourierFunction.pair_moments turns the moments
-    into <mu, f>, for every f up to mode max_mode, at the cost of a dot
-    product.
+    The mean runs over the last axis of x, of N points; the result has
+    shape x.shape[:-1] + (max_mode + 1,).  m_k is the k-th moment of the
+    empirical measure of the points, and m_0 = 1 exactly;
+    FourierFunction.pair_moments turns the moments into <mu, f>, for every
+    f up to mode max_mode, at the cost of a dot product.
 
     Mode 1 is exp(2 pi i r) for the rest r = x - rint(x) in [-1/2, 1/2],
     which is exact for |x| < 2**52, so x need not be wrapped and the phase
@@ -304,24 +303,25 @@ def fourier_moments(x, max_mode: int, weights=None) -> np.ndarray:
     x below the last bit of 2 pi x.  It is taken as the fourth power of
     exp(i theta), theta = r pi/2 in [-pi/4, pi/4], where libm's cos and
     sin take their fast path, and complex multiplies give the higher
-    modes.  A point's moments are bit for bit the same in any array of
-    two or more points.  A one-point array rounds otherwise: numpy
-    multiplies a single element in place through its scalar loop, not its
-    array loop.  So every square and power here stays in place, e1 *= e1
-    and ek *= e1, and the one-point bits stay those of that form.  The
-    weighted sums use einsum rather than matmul: BLAS rounds a row
-    differently depending on how many rows it is handed, which would tie
-    the result to how a caller batches its points.
+    modes.  Each mode is one pairwise np.add.reduce along the contiguous
+    last axis, times 1/N: its error grows like log N where a sequential
+    sum's grows like N, and a row's sum does not depend on how many rows
+    come with it.  A point's moments are bit for bit the same in any array
+    of two or more points.  A one-point array rounds otherwise: numpy
+    multiplies a single element in place (e1 *= e1, ek *= e1) through its
+    scalar loop, not its array loop.  The sums use no matmul: BLAS rounds a
+    row differently depending on how many rows it is handed, which would
+    tie the result to how a caller batches its points.
     """
     x = np.asarray(x, dtype=float)
     return _fourier_moments_into(
-        x, max_mode, weights, np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
+        x, max_mode, np.empty(x.size, dtype=complex), np.empty(x.size, dtype=complex)
     )
 
 
-def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarray:
-    """fourier_moments(x, max_mode, weights) of a float64 array x, with its
-    complex arrays in the buffers.
+def _fourier_moments_into(x, max_mode: int, e1_buf, ek_buf) -> np.ndarray:
+    """fourier_moments(x, max_mode) of a float64 array x, with its complex
+    arrays in the buffers.
 
     e1_buf and ek_buf are contiguous 1-D complex buffers of at least x.size
     entries; the first x.size entries of each are overwritten, by
@@ -330,14 +330,8 @@ def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarr
     moments piece after piece passes the same two buffers every time, so
     no call allocates (and page-faults) an array of x's size.
     """
-    if weights is None:
-        w = np.full(x.shape[-1], 1.0 / x.shape[-1])
-        mass = 1.0
-    else:
-        w = np.asarray(weights, dtype=float)
-        mass = w.sum()
     out = np.empty(x.shape[:-1] + (max_mode + 1,), dtype=complex)
-    out[..., 0] = mass
+    out[..., 0] = 1.0
     if max_mode < 1:
         return out
     e1 = e1_buf[: x.size].reshape(x.shape)
@@ -350,14 +344,15 @@ def _fourier_moments_into(x, max_mode: int, weights, e1_buf, ek_buf) -> np.ndarr
     np.sin(theta, out=e1.imag)
     e1 *= e1
     e1 *= e1
-    # ek is a copy of e1 multiplied in place: numpy rounds a one-point
-    # np.multiply(e1, e1, out=ek) differently from ek *= e1 (it takes
-    # another loop), and the copy costs nothing measurable
-    ek[...] = e1
-    for k in range(1, max_mode + 1):
-        if k > 1:
+    np.add.reduce(e1, axis=-1, out=out[..., 1])
+    for k in range(2, max_mode + 1):
+        if k == 2:
+            np.multiply(e1, e1, out=ek)
+        else:
             ek *= e1
-        out[..., k] = np.einsum("...j,j->...", ek, w)
+        np.add.reduce(ek, axis=-1, out=out[..., k])
+    # the real and imaginary parts of modes 1..max_mode: each sum times 1/N
+    out.view(float)[..., 2:] *= 1.0 / x.shape[-1]
     return out
 
 

@@ -178,6 +178,42 @@ def test_stream_keys_at_and_above_two_to_the_63():
     assert not np.array_equal(draw(2**63 + 5, 0, 8), draw(2**63, 0, 8))
 
 
+# Known answers: the first raw Philox words and the first normals of the
+# streams (11, id) for ids 0, 2**63 and 2**64 - 1, as numpy 2.4 gives them.
+# Every other test here checks numpy against numpy; a numpy release that
+# changes Philox or Generator.standard_normal (NEP 19 does not freeze
+# them) fails this test by name before any digest pin.
+KNOWN_STREAMS = {
+    0: (
+        [0x20843894DAE02517, 0xAF43D220B6AAAA04, 0xA352BD98CBAB0354, 0x9FA75F07C736520D],
+        ["-0x1.7fad4a8bcb6f8p-7", "0x1.6e7a0b7e66c1ap-3", "-0x1.077ec49fc5fefp-3",
+         "-0x1.2b3022b46affbp+0"],
+    ),
+    2**63: (
+        [0xDBC5798552108B46, 0x003065F081696644, 0x427A3616C1F5E337, 0x61C0E2BE4A7420E1],
+        ["-0x1.fa9f91d59b608p-1", "0x1.b3d2f4739b2c7p-8", "-0x1.45b9a685b27cep-4",
+         "0x1.0e9163fac9980p-3"],
+    ),
+    U64: (
+        [0xDF8F4BC91B8B0532, 0x472188CA2D6A686C, 0x39E254DF87F77DF5, 0x6CA2C056546F4CC8],
+        ["-0x1.f2630c026bb60p-1", "0x1.3fb7e420c6e21p-2", "-0x1.27d164d6854b1p+1",
+         "0x1.a943729367402p-1"],
+    ),
+}
+
+
+def test_known_answer_streams():
+    for sid, (words, normals) in KNOWN_STREAMS.items():
+        raw = RngStream(11, sid).generator.bit_generator.random_raw(4)
+        assert [int(w) for w in raw] == words, hex(sid)
+        got = RngStream(11, sid).generator.standard_normal(4)
+        assert [float(v).hex() for v in got] == normals, hex(sid)
+    # 2**64 - 1 is the key of the last block, (2**32 - 1) * 1024 onward
+    lo = (2**32 - 1) * BLOCK
+    [(_, _, z)] = block_pieces(11, 4, lo, lo + 1, 1, np.empty(4))
+    assert [float(v).hex() for v in z[0]] == KNOWN_STREAMS[U64][1]
+
+
 # ranges that start inside a block, that cross two or three blocks, and
 # that lie near r = 2**42, where the block keys wrap
 @settings(max_examples=40, deadline=None, derandomize=True)
