@@ -182,16 +182,21 @@ class GeneratingFunction:
         self.delta = float(delta)
 
     def __call__(self, s):
+        """g at a point or elementwise on an array of points.
+
+        The atoms are summed one after another in their order (a running
+        sum along the atom axis), so g(s)[j] is bit for bit g(s[j]) at any
+        batch size; a BLAS dot or an einsum reorders that sum once the
+        point axis is short.
+        """
         s_arr = np.asarray(s, dtype=float)
         if np.any(s_arr <= -self.delta):
             raise ValueError(
                 f"g is defined on ({-self.delta}, inf); got s = {s}"
             )
-        expo = self.alpha * np.tensordot(
-            self.weights,
-            np.log1p(np.multiply.outer(self.h_atoms, s_arr - 1.0)),
-            axes=(0, 0),
-        )
+        logs = np.log1p(np.multiply.outer(self.h_atoms, s_arr - 1.0))
+        terms = self.weights.reshape((-1,) + (1,) * s_arr.ndim) * logs
+        expo = self.alpha * np.cumsum(terms, axis=0)[-1]
         out = np.exp(expo)
         return out if out.shape else float(out)
 
@@ -335,7 +340,9 @@ def extract_coefficients_limit(
     Parameters
     ----------
     g : callable
-        Generating-function evaluator, defined at least on (0, s0].
+        Generating-function evaluator, defined at least on (0, s0].  It
+        takes an array of points and returns g elementwise: it is called
+        once, on the whole node array.
     order : int
         Highest coefficient requested.
     s0 : float
@@ -354,7 +361,7 @@ def extract_coefficients_limit(
             f"order {order} exceeds the conditioning budget ({MAX_SERIES_ORDER})"
         )
     s = s0 * 0.5 ** np.arange(_LEVELS + order + 1)
-    gv = [float(g(x)) for x in s]
+    gv = np.asarray(g(s), dtype=float).tolist()
 
     coeffs: list[float] = []
     uncs: list[float] = []

@@ -17,6 +17,16 @@ time-difference step, values stay inside [inf f, sup f], and the squared
 gradient obeys both the sharp semigroup bound and the coarse
 exp((2/alpha) * diam f) * sup Gamma f bound (flat space, so no curvature
 factor).
+
+Each quantity is computed once.  vhj_residual projects exp(-f/alpha) once
+and propagates that projection to t and to every t +- dt, with the field
+at t shared by all levels; every field is bit for bit the one cole_hopf
+gives at its time, and every time is refused as cole_hopf refuses it.  A
+VhjField caches, as read-only arrays on the instance, f on the 4x refined
+grid (read by projection_error and by both checks), w' on its grid
+(shared by gradient_squared and laplacian_values) and the residual's two
+spatial terms.  dataclasses.replace builds a new instance, which derives
+all of them afresh from its own fields.
 """
 
 from __future__ import annotations
@@ -49,6 +59,10 @@ class VhjField:
     propagated Fourier representation of P_t exp(-f/alpha), positive
     everywhere, and allows exact off-grid evaluation.  projection is the
     unpropagated one, exp(-f/alpha) projected onto the grid's modes.
+
+    Samples derived from these fields are cached on the instance as
+    read-only arrays (see the module docstring); dataclasses.replace gives
+    an instance that derives them afresh.
     """
 
     dom: TorusDomain
@@ -61,6 +75,15 @@ class VhjField:
     exp_transform: np.ndarray
 
     @functools.cached_property
+    def _f_fine(self) -> np.ndarray:
+        """f on the 4x refined grid, from one inverse FFT (read-only).
+
+        f's modes lie below grid_size/2, so these are also the points
+        f.extrema(4 * grid_size) takes its range over.
+        """
+        return _read_only(self.f.sample(TorusDomain(_EXTREMA_OVERSAMPLE * self.dom.grid_size)))
+
+    @functools.cached_property
     def projection_error(self) -> float:
         """max|projection - exp(-f/alpha)| on the 4x refined grid.
 
@@ -71,8 +94,19 @@ class VhjField:
         coarse grid that misses it by orders of magnitude.
         """
         fine = TorusDomain(_EXTREMA_OVERSAMPLE * self.dom.grid_size)
-        exact = np.exp(-self.f.sample(fine) / self.alpha)
+        exact = np.exp(-self._f_fine / self.alpha)
         return float(np.max(np.abs(self.projection.sample(fine) - exact)))
+
+    @functools.cached_property
+    def _transform_slope(self) -> np.ndarray:
+        """w' on the grid, w the transform (read-only)."""
+        return _read_only(self.transform.derivative().sample(self.dom))
+
+    @functools.cached_property
+    def _pde_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha/2) V'' and (1/2) Gamma V on the grid, the residual's spatial terms."""
+        return (_read_only(0.5 * self.alpha * self.laplacian_values()),
+                _read_only(0.5 * self.gradient_squared()))
 
     def evaluate(self, x):
         """V_t f at arbitrary points, through the propagated transform."""
@@ -80,15 +114,55 @@ class VhjField:
 
     def gradient_squared(self) -> np.ndarray:
         """Gamma V_t f on the grid: alpha^2 (w'/w)^2 with w the transform."""
-        wp = self.transform.derivative().sample(self.dom)
-        return (self.alpha * wp / self.exp_transform) ** 2
+        return (self.alpha * self._transform_slope / self.exp_transform) ** 2
 
     def laplacian_values(self) -> np.ndarray:
         """Second derivative of V_t f on the grid, exact from the transform."""
         w = self.exp_transform
-        wp = self.transform.derivative().sample(self.dom)
+        wp = self._transform_slope
         wpp = self.transform.derivative().derivative().sample(self.dom)
         return -self.alpha * (wpp / w - (wp / w) ** 2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _refuse(alpha: float, t: float) -> None:
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+
+
+def _project(dom: TorusDomain, f: FourierFunction, alpha: float) -> FourierFunction:
+    """exp(-f/alpha) sampled on the grid and projected onto its modes."""
+    u0 = np.exp(-f.sample(dom) / alpha)
+    return FourierFunction.from_grid(u0, max_mode=dom.max_mode)
+
+
+def _propagate(
+    dom: TorusDomain, f: FourierFunction, alpha: float, t: float, u0_hat: FourierFunction
+) -> VhjField:
+    """The field at time t from the projection u0_hat = _project(dom, f, alpha)."""
+    _refuse(alpha, t)
+    w = heat_semigroup(u0_hat, diffusivity=alpha, t=t)
+    wg = w.sample(dom)
+    if np.any(wg <= 0):
+        raise ArithmeticError(
+            "propagated exponential transform lost positivity; grid too coarse"
+        )
+    return VhjField(
+        dom=dom,
+        alpha=float(alpha),
+        t=float(t),
+        f=f,
+        transform=w,
+        projection=u0_hat,
+        values=-alpha * np.log(wg),
+        exp_transform=wg,
+    )
 
 
 def cole_hopf(
@@ -107,28 +181,8 @@ def cole_hopf(
     t : float
         Nonnegative time.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    u0 = np.exp(-f.sample(dom) / alpha)
-    u0_hat = FourierFunction.from_grid(u0, max_mode=dom.max_mode)
-    w = heat_semigroup(u0_hat, diffusivity=alpha, t=t)
-    wg = w.sample(dom)
-    if np.any(wg <= 0):
-        raise ArithmeticError(
-            "propagated exponential transform lost positivity; grid too coarse"
-        )
-    return VhjField(
-        dom=dom,
-        alpha=float(alpha),
-        t=float(t),
-        f=f,
-        transform=w,
-        projection=u0_hat,
-        values=-alpha * np.log(wg),
-        exp_transform=wg,
-    )
+    _refuse(alpha, t)
+    return _propagate(dom, f, alpha, t, _project(dom, f, alpha))
 
 
 @dataclass(frozen=True)
@@ -160,13 +214,9 @@ def residual_from_fields(fields: list[VhjField]) -> float:
         raise ValueError("fields must be equally spaced in time")
     mid = len(fields) // 2
     lo, hi = fields[mid - 1], fields[mid + 1]
-    center = fields[mid]
+    half_laplacian, half_gamma = fields[mid]._pde_terms
     dvdt = (hi.values - lo.values) / (hi.t - lo.t)
-    resid = (
-        dvdt
-        - 0.5 * center.alpha * center.laplacian_values()
-        + 0.5 * center.gradient_squared()
-    )
+    resid = dvdt - half_laplacian + half_gamma
     return float(np.max(np.abs(resid)))
 
 
@@ -188,13 +238,21 @@ def vhj_residual(
     16 eps max|V| / dt, with max|V| over the level's three fields, is the
     round-off floor of the centered difference (exactly zero included),
     and the order into such a level is inf.
+
+    exp(-f/alpha) is projected once and propagated to every time; the
+    field at t is shared by all levels.  Each field is the one cole_hopf
+    gives at its time, and each time is refused as cole_hopf refuses it.
     """
     if num_levels < 2:
         raise ValueError("need at least 2 refinement levels to observe an order")
+    _refuse(alpha, t - dt0)  # the earliest time, refused before any work
+    u0_hat = _project(dom, f, alpha)
+    center = _propagate(dom, f, alpha, t, u0_hat)
     levels, at_floor = [], []
     for j in range(num_levels):
         dt = dt0 / 2**j
-        triple = [cole_hopf(dom, f, alpha, t + k * dt) for k in (-1, 0, 1)]
+        triple = [_propagate(dom, f, alpha, t - dt, u0_hat), center,
+                  _propagate(dom, f, alpha, t + dt, u0_hat)]
         residual = residual_from_fields(triple)
         if not np.isfinite(residual):
             raise ArithmeticError(f"vhj residual is {residual} at t = {t}, dt = {dt}")
@@ -240,8 +298,7 @@ def check_extremum_principles(field: VhjField, slack: float = 1e-12) -> Extremum
     _PROJECTION_MARGIN, and the report gives it as projection_bound.
     """
     fine = TorusDomain(_EXTREMA_OVERSAMPLE * field.dom.grid_size)
-    f_fine = field.f.sample(fine)
-    inf_f, sup_f = float(f_fine.min()), float(f_fine.max())
+    inf_f, sup_f = float(field._f_fine.min()), float(field._f_fine.max())
     f_max = max(-inf_f, sup_f)  # max|f|
     if f_max < _MIN_F_OVER_ALPHA * field.alpha:
         raise ArithmeticError(
@@ -282,7 +339,7 @@ def check_gradient_estimate(field: VhjField, slack: float = 1e-8) -> GradientRep
     """
     dom, alpha, f = field.dom, field.alpha, field.f
     gv = field.gradient_squared()
-    inf_f, sup_f = f.extrema(_EXTREMA_OVERSAMPLE * dom.grid_size)
+    inf_f, sup_f = float(field._f_fine.min()), float(field._f_fine.max())
     gf = carre_du_champ(f)
     _, sup_gf = gf.extrema(_EXTREMA_OVERSAMPLE * dom.grid_size)
     coarse = np.exp((2.0 / alpha) * (sup_f - inf_f)) * sup_gf

@@ -12,6 +12,7 @@ from scipy import stats
 
 from dklab import (
     EmpiricalMeasure,
+    GeneratingFunction,
     PrecisionLossError,
     TorusDomain,
     atomicity_verdict,
@@ -124,6 +125,19 @@ class TestGeneratingFunction:
         # <mu0, log(1-h)> with one atom per grid point: plain grid average
         expected = np.exp(1.5 * np.mean(np.log1p(-occ_15.h_values)))
         assert abs(g(0.0) - expected) < 1e-12
+
+    @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5])
+    def test_batched_values_are_the_pointwise_ones(self, atoms):
+        # the limit route calls g once on its whole node array, so each value
+        # must be the one a call at that point alone gives, bit for bit
+        rng = np.random.Generator(np.random.Philox(key=(97, atoms)))
+        for _ in range(20):
+            g = GeneratingFunction(float(rng.uniform(0.3, 4.0)), rng.dirichlet(np.ones(atoms)),
+                                   rng.uniform(0.01, 0.99, atoms), 0.5)
+            s = np.concatenate([rng.uniform(0.0, 2.0, 61), 0.5 * 0.5 ** np.arange(30)])
+            batched = g(s)
+            assert np.array_equal(batched, [g(x) for x in s])
+            assert np.array_equal(g(s.reshape(13, 7)), batched.reshape(13, 7))
 
     def test_slope_probe_approaches_alpha(self, dom):
         slopes = [mass_slope_probe(1.5, c, t=0.005, dom=dom) for c in (0.5, 0.9, 0.99)]

@@ -17,7 +17,7 @@ from dklab import (
     step,
 )
 from dklab.rng import REPLICATE_STRIDE
-from dklab.spde import evolve
+from dklab.spde import DensityField, evolve
 
 
 @pytest.fixture
@@ -34,6 +34,15 @@ class TestConfiguration:
         alpha = 1.5
         with pytest.raises(ValueError, match="stability"):
             make_field(dom, 1.0, dt=2 * stability_limit(dom, alpha), alpha=alpha)
+
+    @pytest.mark.parametrize("name", ["alpha", "dt"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_refused(self, dom, name, bad):
+        # nan once slipped through to a field that was nan after 3 steps, and
+        # an infinite or non-positive alpha was blamed on the stability bound
+        args = {"alpha": 1.5, "dt": 1e-5, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad!r}"):
+            make_field(dom, 1.0, **args)
 
     def test_accepts_half_stability(self, dom):
         fld = make_field(dom, 1.0, dt=0.5 * stability_limit(dom, 1.5), alpha=1.5)
@@ -136,6 +145,74 @@ class TestStepMatchesRoll:
             want = step_by_roll(fld, alpha, RngStream(seed, 0), noise)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             fld = step(fld, alpha, RngStream(seed, 1), noise)
+
+
+def evolve_reference(field, alpha, num_steps, stream, noise_scale):
+    """num_steps of step_by_roll, each into fresh arrays."""
+    for _ in range(num_steps):
+        field = DensityField(step_by_roll(field, alpha, stream, noise_scale), field.dt,
+                             field.step_count + 1)
+    return field
+
+
+def first_negativity_reference(field, alpha, max_steps, stream, noise_scale):
+    for k in range(max_steps + 1):
+        neg = np.nonzero(field.cell_values < 0.0)[0]
+        if neg.size:
+            return k, int(neg[0])
+        if k == max_steps:
+            return None
+        field = evolve_reference(field, alpha, 1, stream, noise_scale)
+    return None
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_start(shape, alpha):
+    dom = TorusDomain(shape[-1])
+    rng = np.random.Generator(np.random.Philox(key=(27, shape[-1] * len(shape))))
+    return make_field(dom, rng.uniform(0.5, 1.5, shape), 0.5 * stability_limit(dom, alpha), alpha)
+
+
+class TestKernelMatchesReference:
+    """step, evolve and first_negativity against looping step_by_roll."""
+
+    @pytest.mark.parametrize("shape", [(64,), (256,), (4, 64), (3, 256)], ids=str)
+    @pytest.mark.parametrize("noise", [0.0, 0.04, 1.0])
+    def test_evolve_and_step(self, shape, noise):
+        alpha, steps = 1.3, 240
+        start = random_start(shape, alpha)
+        before = start.cell_values.copy()
+        want = evolve_reference(start, alpha, steps, RngStream(31, 0), noise)
+        got = evolve(start, alpha, steps, RngStream(31, 0), noise)
+        assert got.step_count == want.step_count == steps
+        assert same_bits(got.cell_values, want.cell_values)
+        stepped, stream = start, RngStream(31, 0)
+        for _ in range(steps):
+            stepped = step(stepped, alpha, stream, noise)
+        assert stepped.step_count == steps
+        assert same_bits(stepped.cell_values, want.cell_values)
+        # evolve and step never write into their input
+        assert same_bits(start.cell_values, before)
+        assert not np.shares_memory(got.cell_values, start.cell_values)
+
+    @pytest.mark.parametrize("grid", [64, 256])
+    @pytest.mark.parametrize("noise", [0.0, 0.04, 1.0])
+    def test_first_negativity(self, grid, noise):
+        alpha, cap = 1.3, 400
+        start = random_start((grid,), alpha)
+        hits = []
+        for seed in range(4):
+            want = first_negativity_reference(start, alpha, cap, RngStream(seed, 7), noise)
+            assert first_negativity(start, alpha, cap, RngStream(seed, 7), noise) == want
+            hits.append(want)
+        # not vacuous: full noise breaks down inside the cap, the heat limit never
+        if noise == 1.0:
+            assert None not in hits
+        if noise == 0.0:
+            assert hits == [None] * 4
 
 
 class TestNegativity:

@@ -18,7 +18,8 @@ from dklab import (
     residual_from_fields,
     vhj_residual,
 )
-from dklab.vhj import _PROJECTION_MARGIN
+from dklab.torus import carre_du_champ
+from dklab.vhj import _PROJECTION_MARGIN, ExtremumReport, GradientReport, ResidualReport
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "frozen.json"
 
@@ -195,11 +196,23 @@ class TestExtremumPrinciples:
             assert rep.projection_bound < 1e-12
 
     def test_a_shifted_transform_still_fails(self, dom):
-        # V moved by alpha log(1.0001), about 1e-4, far above the bound
+        # V moved by alpha log(1.0001), about 1e-4, far above the bound; the
+        # original field's checks run first and fill its caches, which the
+        # replaced field must not judge on
         field = cole_hopf(dom, bump(), 1.0, 0.0)
-        rep = check_extremum_principles(dataclasses.replace(field, transform=field.transform * 1.0001))
+        assert check_extremum_principles(field).passed
+        first = check_gradient_estimate(field)
+        assert first.passed_sharp
+        shifted = dataclasses.replace(field, transform=field.transform * 1.0001)
+        rep = check_extremum_principles(shifted)
         assert not rep.passed
         assert rep.projection_bound < 1e-12
+        # at t = 0 the sharp bound holds with equality, and the shifted w'
+        # moves Gamma V by the factor 1.0001^2
+        grad = check_gradient_estimate(shifted)
+        assert grad == gradient_reference(shifted)
+        assert not grad.passed_sharp
+        assert grad.max_gradient_sq == pytest.approx(1.0001**2 * first.max_gradient_sq, rel=1e-12)
 
     def test_transform_not_positive_between_grid_points_is_refused(self):
         dom = TorusDomain(16)
@@ -232,6 +245,149 @@ class TestGradientEstimate:
             alpha = float(rng.uniform(0.5, 3.0))
             rep = check_gradient_estimate(cole_hopf(dom, f, alpha, t))
             assert rep.passed and rep.passed_sharp
+
+
+def residual_reference(fields):
+    """residual_from_fields as written before its terms were cached."""
+    lo, center, hi = fields
+    w = center.exp_transform
+    d = center.transform.derivative()
+    wp, wpp = d.sample(center.dom), d.derivative().sample(center.dom)
+    laplacian = -center.alpha * (wpp / w - (wp / w) ** 2)
+    gamma = (center.alpha * wp / w) ** 2
+    dvdt = (hi.values - lo.values) / (hi.t - lo.t)
+    return float(np.max(np.abs(dvdt - 0.5 * center.alpha * laplacian + 0.5 * gamma)))
+
+
+def vhj_residual_reference(dom, f, alpha, t, dt0=1e-3, num_levels=3):
+    """vhj_residual as written before the projection was shared: one cole_hopf per time."""
+    levels, at_floor = [], []
+    for j in range(num_levels):
+        dt = dt0 / 2**j
+        triple = [cole_hopf(dom, f, alpha, t + k * dt) for k in (-1, 0, 1)]
+        residual = residual_reference(triple)
+        if not np.isfinite(residual):
+            raise ArithmeticError(f"vhj residual is {residual} at t = {t}, dt = {dt}")
+        levels.append(residual)
+        v_max = max(float(np.max(np.abs(fld.values))) for fld in triple)
+        at_floor.append(residual <= 16 * np.finfo(float).eps * v_max / dt)
+    orders = [float("inf") if floor else float(np.log2(a / b))
+              for a, b, floor in zip(levels, levels[1:], at_floor[1:])]
+    return levels, orders
+
+
+def extremum_reference(field, slack=1e-12):
+    """check_extremum_principles' report as written before f's fine sample was cached."""
+    fine = TorusDomain(4 * field.dom.grid_size)
+    f_fine = field.f.sample(fine)
+    inf_f, sup_f = float(f_fine.min()), float(f_fine.max())
+    w = field.transform.sample(fine)
+    w_lo, w_hi = float(w.min()), float(w.max())
+    inf_v, sup_v = (float(v) for v in -field.alpha * np.log([w_hi, w_lo]))
+    err = float(np.max(np.abs(field.projection.sample(fine) - np.exp(-f_fine / field.alpha))))
+    bound = _PROJECTION_MARGIN * field.alpha * err / w_lo
+    tol = slack + bound
+    return ExtremumReport(passed=(inf_f <= inf_v + tol) and (sup_v <= sup_f + tol),
+                          inf_f=inf_f, sup_f=sup_f, inf_v=inf_v, sup_v=sup_v,
+                          projection_bound=bound)
+
+
+def gradient_reference(field, slack=1e-8):
+    """check_gradient_estimate's report as written before the field cached its samples."""
+    dom, alpha, f = field.dom, field.alpha, field.f
+    gv = (alpha * field.transform.derivative().sample(dom) / field.exp_transform) ** 2
+    inf_f, sup_f = f.extrema(4 * dom.grid_size)
+    _, sup_gf = carre_du_champ(f).extrema(4 * dom.grid_size)
+    coarse = np.exp((2.0 / alpha) * (sup_f - inf_f)) * sup_gf
+    fp = f.derivative().sample(dom)
+    gamma_u = np.exp(-2.0 * f.sample(dom) / alpha) * (fp / alpha) ** 2
+    gamma_u_hat = FourierFunction.from_grid(gamma_u, max_mode=dom.max_mode)
+    pt_gamma_u = heat_semigroup(gamma_u_hat, diffusivity=alpha, t=field.t).sample(dom)
+    viol = float(np.max(gv - alpha**2 * pt_gamma_u / field.exp_transform**2))
+    return GradientReport(passed=bool(np.all(gv <= coarse + slack)), passed_sharp=viol <= slack,
+                          coarse_bound=float(coarse), max_gradient_sq=float(np.max(gv)),
+                          max_sharp_violation=viol)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSharedWork:
+    """The shared projection and cached samples against the per-call formulas."""
+
+    @pytest.mark.parametrize("grid", [16, 64, 256, 1024, 4096])
+    def test_residual_bits_match_one_cole_hopf_per_time(self, grid):
+        dom = TorusDomain(grid)
+        for f in [bump(), *random_fourier_suite(grid, 2)]:
+            for alpha in (0.3, 1.0, 7.0):
+                for t in (0.01, 0.05, 1.0):
+                    want = outcome(vhj_residual_reference, dom, f, alpha, t)
+                    rep = outcome(vhj_residual, dom, f, alpha, t)
+                    if isinstance(rep, ResidualReport):
+                        rep = [lvl.residual_sup for lvl in rep.levels], rep.observed_orders
+                    assert rep == want
+
+    @pytest.mark.parametrize("alpha, t", [(0.0, 0.05), (-1.0, 0.05), (1.0, 5e-4), (1.0, -1.0)])
+    def test_residual_refuses_as_cole_hopf_does(self, dom, alpha, t):
+        want = outcome(vhj_residual_reference, dom, bump(), alpha, t)
+        assert want[0] is ValueError
+        assert outcome(vhj_residual, dom, bump(), alpha, t) == want
+
+    @pytest.mark.parametrize("grid", [16, 64, 256])
+    def test_reports_match_the_per_call_formulas(self, grid):
+        dom = TorusDomain(grid)
+        rng = np.random.Generator(np.random.Philox(key=(27, grid)))
+        for f in random_fourier_suite(grid + 1, 20):
+            field = cole_hopf(dom, f, float(rng.uniform(0.5, 3.0)), float(rng.choice([0.0, 1e-4, 0.05])))
+            assert outcome(check_extremum_principles, field) == outcome(extremum_reference, field)
+            assert check_gradient_estimate(field) == gradient_reference(field)
+
+    def test_one_projection_per_residual(self, dom, monkeypatch):
+        # the parent projected exp(-f/alpha) once per field: 9 times at 3 levels
+        calls = []
+        from_grid = FourierFunction.from_grid.__func__
+
+        def counting(cls, values, max_mode=None):
+            calls.append(np.size(values))
+            return from_grid(cls, values, max_mode)
+
+        monkeypatch.setattr(FourierFunction, "from_grid", classmethod(counting))
+        vhj_residual(dom, bump(), 1.0, 0.05)
+        assert calls == [dom.grid_size]
+        vhj_residual(dom, bump(), 1.0, 0.05, num_levels=5)
+        assert len(calls) == 2
+
+    def test_f_is_sampled_once_on_the_fine_grid(self, dom, monkeypatch):
+        f = bump()
+        fine_samples = []
+        sample = FourierFunction.sample
+
+        def counting(self, d):
+            if self is f and d.grid_size == 4 * dom.grid_size:
+                fine_samples.append(d.grid_size)
+            return sample(self, d)
+
+        monkeypatch.setattr(FourierFunction, "sample", counting)
+        field = cole_hopf(dom, f, 1.0, 0.05)
+        check_extremum_principles(field)
+        check_gradient_estimate(field)
+        assert field.projection_error < 1e-10
+        assert len(fine_samples) == 1
+
+    def test_cached_arrays_are_read_only(self, dom):
+        fields = [cole_hopf(dom, bump(), 1.0, t) for t in (0.04, 0.05, 0.06)]
+        field = fields[1]
+        residual_from_fields(fields)
+        check_extremum_principles(field)
+        check_gradient_estimate(field)
+        for cached in (field._f_fine, field._transform_slope, *field._pde_terms):
+            assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            field._f_fine[0] = 0.0
 
 
 class TestFlowProperties:
