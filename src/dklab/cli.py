@@ -307,9 +307,8 @@ def _run_martingale(cfg: RunConfig):
 
 def _run_pgf(cfg: RunConfig):
     mass_order(cfg.alpha)  # refuses an alpha past the series budget before its atoms exist
-    dom = TorusDomain(cfg.grid)
     mu0 = cfg.atoms()
-    occ = occupation(dom, cfg.intervals(), cfg.t, cfg.alpha)
+    occ = occupation(None, cfg.intervals(), cfg.t, cfg.alpha)
     report = atomicity_verdict(cfg.alpha, mu0, occ, cfg.order)
     header = ["record", "k", "value", "extra", "detail"]
     rows = []

@@ -45,7 +45,7 @@ import numpy as np
 from .particles import EmpiricalMeasure, _check_spread, require_integer_alpha, z_score
 from .particles import standard_increments  # noqa: F401  bench/spans.py wraps this name
 from .rng import REPLICATES_PER_BLOCK, block_pieces, derive_seed
-from .torus import TWO_PI, FourierFunction, TorusDomain
+from .torus import FourierFunction, TorusDomain, _cos_sin_turns, _turns
 from .vhj import cole_hopf
 
 # Bytes of draws (8 a normal) in one piece of a duality cell: 2**14
@@ -85,21 +85,6 @@ def laplace_rhs(
     return float(np.exp(-np.mean(field.evaluate(mu0.positions))))
 
 
-def _turns(k, x):
-    """k x - rint(k x), in [-1/2, 1/2], for integers k < 2**26 and floats x,
-    to one rounding.
-
-    x is split into two halves of at most 26 significant bits (Veltkamp),
-    so that k times either half is exact, and so is taking the nearest
-    integer off the first product.
-    """
-    hi = x * 134217729.0  # 2**27 + 1
-    hi = hi - (hi - x)
-    head = k * hi
-    turns = (head - np.rint(head)) + k * (x - hi)
-    return turns - np.rint(turns)
-
-
 def _shift_table(f: FourierFunction, x0: np.ndarray):
     """(modes, c, d) for the modes of f with a nonzero coefficient.
 
@@ -112,34 +97,6 @@ def _shift_table(f: FourierFunction, x0: np.ndarray):
     a, b = a[live, None], b[live, None]
     c, s = _cos_sin_turns(_turns((live + 1)[:, None], x0))
     return live + 1, a * c + b * s, b * c - a * s
-
-
-def _cos_sin_turns(r: np.ndarray):
-    """(cos 2 pi r, sin 2 pi r) for turns r in [-1/2, 1/2]; r is overwritten.
-
-    r is split, exactly, into its nearest quarter turn q and a rest in
-    [-1/8, 1/8] turns, so libm's cos and sin see only [-pi/4, pi/4], where
-    they run about three times faster than on [-pi, pi].  The quarter turn
-    is then an exact rotation, by cos(q pi/2) = 1 - |q| and sin(q pi/2) =
-    q (2 - |q|) for q in {-2, ..., 2}.
-    """
-    r *= 4.0
-    q = np.rint(r)
-    r -= q
-    r *= TWO_PI / 4
-    cos_r = np.cos(r)
-    sin_r = np.sin(r, out=r)
-    cos_q = np.abs(q)
-    scratch = np.subtract(2.0, cos_q)
-    sin_q = np.multiply(q, scratch, out=q)
-    np.subtract(1.0, cos_q, out=cos_q)
-    np.multiply(sin_r, sin_q, out=scratch)
-    sin_r *= cos_q
-    sin_q *= cos_r
-    sin_r += sin_q
-    cos_r *= cos_q
-    cos_r -= scratch
-    return cos_r, sin_r
 
 
 def _antithetic_pairings(mean: float, shifts, step: np.ndarray):

@@ -42,7 +42,8 @@ import numpy as np
 
 from .particles import EmpiricalMeasure, require_integer_alpha, terminal_ensemble
 from .rng import REPLICATES_PER_BLOCK
-from .torus import FourierFunction, TorusDomain, heat_semigroup, wrap
+from .torus import (FourierFunction, TorusDomain, _cos_sin_turns, _sum_rows, _turns,
+                    heat_semigroup, wrap)
 
 _FLOOR_EPS = 8 * np.finfo(float).eps  # per-term bound: g itself is good to ~2 eps
 _DIVERGENCE_SIGNAL = 64.0  # raw estimates must clear the floor by this factor
@@ -53,6 +54,8 @@ _ZERO_TOL = 1e-6  # largest round-off bound that certifies a floor-limited p_k a
 # draws (8 bytes a normal) in one piece of monte_carlo_pgf, rounded down to
 # whole blocks of REPLICATES_PER_BLOCK replicates, at least one
 _PIECE_BYTES = 1 << 17
+_SERIES_TAIL = 2.0**-60  # occupation cuts the series of 1_A where its tail bound is below this
+_MAX_MODES = 1 << 16  # and refuses a series that needs more modes than this
 
 
 # ---------------------------------------------------------------------------
@@ -64,29 +67,30 @@ _PIECE_BYTES = 1 << 17
 class OccupationFunction:
     """Heat-smoothed occupation probability of a finite union of intervals.
 
-    h_values is P_t 1_A on the grid for the heat flow with diffusivity
-    alpha; the indicator is averaged over each grid cell before spectral
-    propagation (mollification at scale one cell), a displacement bias of
-    at most half a cell recorded in h_bias_bound.  delta > 0 certifies
-    h <= 1 - delta on a 4x refined grid.
+    h is P_t 1_A for the heat flow with diffusivity alpha, from the exact
+    Fourier series of the indicator (see occupation).
     """
 
-    dom: TorusDomain
     intervals: tuple[tuple[float, float], ...]
     t: float
     alpha: float
     h: FourierFunction
-    h_values: np.ndarray
-    delta: float
-    h_min: float
     measure: float
-    h_bias_bound: float
 
     def evaluate(self, x):
-        return self.h.evaluate(x)
+        """h at points x, from the exact turns k x of every mode k, a point's
+        terms added one after another from the highest mode down and the
+        mean last, so that small terms meet a small running sum (in mode
+        order the error grew to 1.6e-15 at alpha t = 1e-4)."""
+        x = np.asarray(x, dtype=float)
+        h, flat = self.h, x.reshape(-1)
+        c, s = _cos_sin_turns(_turns(np.arange(h.max_mode, 0, -1)[:, None], flat))
+        terms = h.cos_coeffs[::-1, None] * c + h.sin_coeffs[::-1, None] * s
+        out = _sum_rows(np.vstack([terms, np.full((1, flat.size), h.mean)]))
+        return out.reshape(x.shape) if x.shape else float(out[0])
 
     def contains(self, x) -> np.ndarray:
-        """Exact membership of points in A (no mollification)."""
+        """Exact membership of points in A."""
         x = wrap(np.asarray(x, dtype=float))
         inside = np.zeros(x.shape, dtype=bool)
         for a, b in self.intervals:
@@ -94,27 +98,31 @@ class OccupationFunction:
         return inside
 
 
-def _cell_coverage(intervals, grid_size: int) -> np.ndarray:
-    """Fraction of each grid cell covered by the interval union.
+def _series_modes(intervals: int, variance: float) -> int:
+    """Smallest K <= _MAX_MODES whose tail bound sum_(k>K) (2m/(pi k))
+    exp(-2 pi^2 k^2 variance) is below _SERIES_TAIL, for m intervals.
 
-    Cells are centered at j/N; the cell of j = 0 wraps, handled by testing
-    shifted copies of every interval.
+    The bound is its first term over 1 - exp(-4 pi^2 (K + 1) variance), by
+    a geometric series that dominates it; it falls with K, so K is bisected.
     """
-    dx = 1.0 / grid_size
-    centers = np.arange(grid_size) * dx
-    lo = centers - dx / 2
-    hi = centers + dx / 2
-    cov = np.zeros(grid_size)
-    for a, b in intervals:
-        for shift in (-1.0, 0.0, 1.0):
-            cov += np.clip(
-                np.minimum(hi, b + shift) - np.maximum(lo, a + shift), 0.0, None
-            )
-    return cov / dx
+    c = 2.0 * math.pi**2 * variance
+
+    def tail(k):
+        n = k + 1
+        return 2.0 * intervals / (math.pi * n) * math.exp(-c * n * n) / -math.expm1(-2.0 * c * n)
+
+    if not tail(_MAX_MODES) < _SERIES_TAIL:
+        raise ValueError(f"alpha t = {variance:.3e} is too small: the Fourier series of 1_A "
+                         f"needs more than {_MAX_MODES} modes (alpha t below about 5e-10)")
+    lo, hi = -1, _MAX_MODES  # tail(hi) is below the bound, tail(lo) not (or lo = -1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if tail(mid) < _SERIES_TAIL else (mid, hi)
+    return hi
 
 
 def occupation(
-    dom: TorusDomain,
+    dom: TorusDomain | None,
     intervals: list[tuple[float, float]],
     t: float,
     alpha: float,
@@ -123,7 +131,12 @@ def occupation(
 
     Intervals are (a, b) with 0 <= a < b <= 1, pairwise disjoint; their
     union must be nonempty and proper so that 0 < h < 1 for t > 0.  t must
-    be positive and finite.
+    be positive and finite, alpha t not so small that the series needs
+    more than _MAX_MODES modes (_series_modes).  dom is ignored (h needs no grid).
+
+    [a, b) has mean b - a, mode-k cos coefficient (sin 2 pi k b - sin 2 pi
+    k a)/(pi k) and sin coefficient (cos 2 pi k a - cos 2 pi k b)/(pi k),
+    the angles taken from exact turns; heat_semigroup damps them.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"occupation time t must be positive and finite, got {t}")
@@ -142,27 +155,12 @@ def occupation(
     if measure >= 1.0:
         raise ValueError("A must be a proper subset of the torus")
 
-    cov = _cell_coverage(ivs, dom.grid_size)
-    ind_hat = FourierFunction.from_grid(cov, max_mode=dom.max_mode)
-    h = heat_semigroup(ind_hat, diffusivity=alpha, t=t)
-    h_min, h_max = h.extrema(4 * dom.grid_size)
-    if not (0.0 < h_min and h_max < 1.0):
-        raise ArithmeticError(
-            f"h escaped (0, 1): range [{h_min:.3e}, {h_max:.3e}]; "
-            "increase grid_size or t"
-        )
-    return OccupationFunction(
-        dom=dom,
-        intervals=tuple(ivs),
-        t=float(t),
-        alpha=float(alpha),
-        h=h,
-        h_values=h.sample(dom),
-        delta=1.0 - h_max,
-        h_min=h_min,
-        measure=float(measure),
-        h_bias_bound=dom.dx / 2,
-    )
+    k = np.arange(1, _series_modes(len(ivs), alpha * t) + 1)
+    c, s = _cos_sin_turns(_turns(k[:, None, None], np.array(ivs)))  # (mode, interval, end)
+    ind = FourierFunction(measure, (s[..., 1] - s[..., 0]).sum(axis=1) / (np.pi * k),
+                          (c[..., 0] - c[..., 1]).sum(axis=1) / (np.pi * k))
+    h = heat_semigroup(ind, diffusivity=alpha, t=t)
+    return OccupationFunction(tuple(ivs), float(t), float(alpha), h, float(measure))
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +169,16 @@ def occupation(
 
 
 class GeneratingFunction:
-    """Evaluator of g(s) = exp(alpha <mu_0, log(1 + (s-1) h)>), s > -delta."""
+    """Evaluator of g(s) = exp(alpha <mu_0, log(1 + (s-1) h)>), s > -delta,
+    with delta = 1 - max h over the atoms."""
 
-    def __init__(self, alpha: float, weights: np.ndarray, h_atoms: np.ndarray, delta: float):
-        if np.any(h_atoms <= 0) or np.any(h_atoms >= 1):
+    def __init__(self, alpha: float, weights: np.ndarray, h_atoms: np.ndarray):
+        self.h_atoms = np.asarray(h_atoms, dtype=float)
+        if not np.all((self.h_atoms > 0) & (self.h_atoms < 1)):  # NaN fails too
             raise ValueError("h must lie strictly inside (0, 1) at the atoms")
         self.alpha = float(alpha)
         self.weights = np.asarray(weights, dtype=float)
-        self.h_atoms = np.asarray(h_atoms, dtype=float)
-        self.delta = float(delta)
+        self.delta = 1.0 - float(np.max(self.h_atoms))
 
     def __call__(self, s):
         """g at a point or elementwise on an array of points.
@@ -205,9 +204,7 @@ def build_g(alpha: float, mu0: EmpiricalMeasure, occ: OccupationFunction) -> Gen
     """Generating-function evaluator for X = alpha * mu_t(A), mu0 atomic."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return GeneratingFunction(
-        alpha, np.full(mu0.n, 1.0 / mu0.n), occ.evaluate(mu0.positions), occ.delta
-    )
+    return GeneratingFunction(alpha, np.full(mu0.n, 1.0 / mu0.n), occ.evaluate(mu0.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,7 @@ def series_from_bernoulli(
         )
     w = np.asarray(weights, dtype=float)
     h = np.asarray(h_values, dtype=float)
-    if np.any(h <= 0) or np.any(h >= 1):
+    if not np.all((h > 0) & (h < 1)):  # NaN fails too
         raise ValueError("h values must lie strictly inside (0, 1)")
     c = h / (1.0 - h)
     # a_m = alpha * sum_i w_i * (-1)^(m+1) c_i^m / m  for m = 1..order
@@ -274,7 +271,9 @@ def series_from_bernoulli(
     b[0] = 1.0
     for n in range(1, order + 1):
         b[n] = float(np.dot(np.arange(1, n + 1) * a[1 : n + 1], b[n - 1 :: -1][: n])) / n
-    lead = math.exp(alpha * float(np.dot(w, np.log1p(-h))))
+    # math.log1p, not np.log1p: numpy's AVX-512 loop rounds some values
+    # otherwise, and these few atoms feed the results digest
+    lead = math.exp(alpha * float(np.dot(w, [math.log1p(-v) for v in h.tolist()])))
     p = lead * b
     return PgfExpansion(
         coefficients=p,
@@ -700,5 +699,5 @@ def mass_slope_probe(
     occ = occupation(dom, [(gap / 2, 1.0 - gap / 2)], t, alpha)
     g = build_g(alpha, EmpiricalMeasure(dom.grid()), occ)
     svals = np.exp(np.linspace(np.log(0.3), np.log(1.0), 12))
-    slope = np.polyfit(np.log(svals), np.log([g(x) for x in svals]), 1)[0]
+    slope = np.polyfit(np.log(svals), np.log(g(svals)), 1)[0]
     return float(slope)

@@ -90,6 +90,29 @@ def poisson_binomial(h_values) -> np.ndarray:
     return pmf
 
 
+def occupation_long_double(x, intervals, variance: float) -> np.ndarray:
+    """P_t 1_A at points x, for A a union of intervals [a, b) and the heat
+    kernel of the given variance, summed as a Fourier series in np.longdouble.
+
+    Interval [a, b) contributes b - a and, at mode k, (sin 2 pi k (b - x) -
+    sin 2 pi k (a - x)) / (pi k) times exp(-2 pi^2 k^2 variance).  The
+    series runs until exp(-2 pi^2 k^2 variance) < 1e-25, past which the
+    rest is below 1e-24 for up to three intervals; each term is good to a
+    few long-double ulps (1.1e-19).
+    """
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    x = np.asarray(x, dtype=np.longdouble)[None, :]
+    modes = math.ceil(math.sqrt(25.0 * math.log(10.0) / (2.0 * math.pi**2 * variance))) + 1
+    k = np.arange(1, modes + 1, dtype=np.longdouble)[:, None]
+    damp = np.exp(-2 * pi**2 * k**2 * np.longdouble(variance))
+    total = np.zeros(x.shape[1], dtype=np.longdouble)
+    for a, b in intervals:
+        a, b = np.longdouble(a), np.longdouble(b)
+        wave = np.sin(2 * pi * k * (b - x)) - np.sin(2 * pi * k * (a - x))
+        total += (b - a) + np.sum(wave * damp / (pi * k), axis=0)
+    return total
+
+
 def generalized_binomial_pmf(alpha: float, h: float, orders: int) -> np.ndarray:
     """Coefficients of (1 - h + h s)^alpha: C(alpha, k) h^k (1-h)^(alpha-k)."""
     k = np.arange(orders + 1)

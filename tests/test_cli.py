@@ -135,6 +135,17 @@ class TestRuns:
         assert "chi-square" in text
         assert "consistent-integer" in text
 
+    def test_pgf_ignores_grid(self, tmp_path):
+        # h is built with no grid, so a coarse --grid neither refuses this
+        # request nor biases its chi-square reference against the counts
+        tables = []
+        for grid in ("8", "16", "256"):
+            out = tmp_path / f"pgf-{grid}.csv"
+            assert run_cli(["pgf", "--alpha", "2", "--t", "0.005", "--grid", grid,
+                            "--replicates", "200000", "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_breakdown_summary(self, tmp_path):
         out = tmp_path / "bd.csv"
         code = run_cli(

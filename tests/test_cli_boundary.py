@@ -22,6 +22,7 @@ from dklab import (
     EmpiricalMeasure,
     TorusDomain,
     atomicity_verdict,
+    build_g,
     check_extremum_principles,
     cli,
     cole_hopf,
@@ -351,7 +352,7 @@ def test_manifest_text_pinned(monkeypatch, tmp_path):
         "suite = 50",
         "num_steps = 200",
         "results_file = p.csv",
-        "results_sha256 = 41d3c5f412a8c7c24c31a1a7e7448214e789cec71fc707fff15fef77b8ca0e0c",
+        "results_sha256 = 08c0b2b5c554bcff692e50682a2f63b72de5d85f9b0537855429ab816ff397c2",
         "stream_seeds = ",
         "verdicts = violates-nonnegativity",
     ]
@@ -529,23 +530,28 @@ class TestVerdictInputs:
 
 
 class TestRangesThroughExtrema:
-    """occupation's range of h and the extremum check's range of V_t f are
-    one inverse FFT each, through FourierFunction.extrema.  These restate
-    the bodies they replaced, sampling at 4x the grid and taking min and
-    max, and must agree with them bit for bit."""
+    """The extremum check's range of V_t f is one inverse FFT, through
+    FourierFunction.extrema, and must agree bit for bit with the body it
+    replaced, sampling at 4x the grid and taking min and max.  occupation's
+    h has no grid: its values at the 4x grid's points, through exact turns,
+    agree with that inverse FFT to round-off and lie inside (0, 1), and g's
+    domain bound delta is 1 - max h at the atoms."""
 
     @pytest.mark.parametrize("grid", [64, 256, 1024])
     def test_occupation_range(self, grid):
         rng = np.random.Generator(np.random.Philox(key=(grid, 7)))
-        dom = TorusDomain(grid)
+        points = TorusDomain(4 * grid).grid()
         for _ in range(20):
             lo = float(rng.uniform(0.05, 0.5))
             interval = (lo, lo + float(rng.uniform(0.1, 0.4)))
-            occ = occupation(dom, [interval], float(rng.uniform(0.02, 0.2)),
+            occ = occupation(None, [interval], float(rng.uniform(0.02, 0.2)),
                              float(rng.uniform(0.3, 2.5)))
-            h_ref = occ.h.sample(TorusDomain(4 * grid))
-            assert occ.h_min == float(h_ref.min())
-            assert occ.delta == 1.0 - float(h_ref.max())
+            h = occ.evaluate(points)
+            assert np.max(np.abs(h - occ.h.sample(TorusDomain(4 * grid)))) < 1e-15
+            assert np.all((h > 0.0) & (h < 1.0))
+            atoms = rng.uniform(0.0, 1.0, 3)
+            g = build_g(occ.alpha, EmpiricalMeasure(atoms), occ)
+            assert g.delta == 1.0 - float(np.max(occ.evaluate(atoms)))
 
     @pytest.mark.parametrize("grid", [16, 32, 256, 1024])
     def test_extremum_range(self, grid):

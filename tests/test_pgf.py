@@ -26,7 +26,12 @@ from dklab import (
     verdict_from_expansion,
 )
 from dklab.pgf import PgfExpansion, _chi2_sf, compare_histogram
-from oracles import chi2_sf_exact, generalized_binomial_pmf, poisson_binomial
+from oracles import (
+    chi2_sf_exact,
+    generalized_binomial_pmf,
+    occupation_long_double,
+    poisson_binomial,
+)
 
 EPS = np.finfo(float).eps
 
@@ -55,19 +60,41 @@ def occ_15(dom):
     return occupation(dom, [(0.2, 0.45)], t=0.05, alpha=1.5)
 
 
+def _intervals(ends):
+    """Disjoint intervals from sorted distinct ends, paired off in order."""
+    ends = sorted(ends)[: len(ends) // 2 * 2]
+    return list(zip(ends[::2], ends[1::2]))
+
+
 class TestOccupation:
     def test_h_strictly_inside_unit_interval(self, occ_15):
-        assert 0.0 < occ_15.h_min
-        assert occ_15.delta > 0.0
-        assert np.all(occ_15.h_values > 0.0)
-        assert np.all(occ_15.h_values < 1.0)
+        h = occ_15.evaluate(np.arange(4096) / 4096)
+        assert np.all((h > 0.0) & (h < 1.0))
 
     def test_mean_h_equals_measure(self, occ_15):
-        # cell averaging preserves mass and the heat flow keeps the mean
-        assert abs(occ_15.h.mean - occ_15.measure) < 1e-14
+        # the series' mean is |A|, and the heat flow keeps the mean
+        assert occ_15.h.mean == occ_15.measure
 
-    def test_bias_bound_is_half_cell(self, dom, occ_15):
-        assert occ_15.h_bias_bound == dom.dx / 2
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6, unique=True),
+        atoms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+        alpha=st.floats(1.0, 64.0),
+        t=st.floats(math.log(1e-4), math.log(10.0)).map(math.exp),
+    )
+    def test_h_at_the_atoms_matches_the_reference(self, ends, atoms, alpha, t):
+        intervals = _intervals(ends)
+        if intervals == [(0.0, 1.0)]:
+            intervals = [(0.0, 0.5)]  # A must be a proper subset
+        occ = occupation(None, intervals, t, alpha)
+        ref = occupation_long_double(atoms, intervals, alpha * t)
+        assert np.max(np.abs(occ.evaluate(np.array(atoms)) - ref)) <= 1e-15
+
+    def test_series_past_its_mode_budget_refused(self):
+        occ = occupation(None, [(0.2, 0.45)], 1e-9, 1.0)
+        assert 0 < occ.h.max_mode <= 1 << 16
+        with pytest.raises(ValueError, match="alpha t = 1.000e-10"):
+            occupation(None, [(0.2, 0.45)], 1e-10, 1.0)
 
     def test_union_of_intervals(self, dom):
         occ = occupation(dom, [(0.1, 0.2), (0.6, 0.8)], t=0.02, alpha=1)
@@ -109,9 +136,14 @@ class TestGeneratingFunction:
             assert abs(g(s) - (1 - h + s * h)) < 1e-13
 
     def test_domain_error_below_minus_delta(self, occ_15):
-        g = build_g(1.5, EmpiricalMeasure([0.5]), occ_15)
+        g = build_g(1.5, EmpiricalMeasure([0.3, 0.5]), occ_15)
+        assert g.delta == 1.0 - max(occ_15.evaluate(0.3), occ_15.evaluate(0.5))
         with pytest.raises(ValueError, match="defined on"):
-            g(-occ_15.delta - 1e-3)
+            g(-g.delta - 1e-3)
+
+    def test_nan_h_refused(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            GeneratingFunction(1.5, np.array([1.0]), np.array([math.nan]))
 
     def test_increasing_and_in_unit_interval(self, occ_15):
         g = build_g(2.0, EmpiricalMeasure([0.3, 0.7]), occ_15)
@@ -120,10 +152,10 @@ class TestGeneratingFunction:
         assert np.all(np.diff(vals) > 0)
         assert np.all((vals > 0) & (vals < 1))
 
-    def test_uniform_density_route(self, occ_15):
-        g = build_g(1.5, EmpiricalMeasure(occ_15.dom.grid()), occ_15)
+    def test_uniform_density_route(self, dom, occ_15):
+        g = build_g(1.5, EmpiricalMeasure(dom.grid()), occ_15)
         # <mu0, log(1-h)> with one atom per grid point: plain grid average
-        expected = np.exp(1.5 * np.mean(np.log1p(-occ_15.h_values)))
+        expected = np.exp(1.5 * np.mean(np.log1p(-occ_15.evaluate(dom.grid()))))
         assert abs(g(0.0) - expected) < 1e-12
 
     @pytest.mark.parametrize("atoms", [1, 2, 3, 4, 5])
@@ -133,7 +165,7 @@ class TestGeneratingFunction:
         rng = np.random.Generator(np.random.Philox(key=(97, atoms)))
         for _ in range(20):
             g = GeneratingFunction(float(rng.uniform(0.3, 4.0)), rng.dirichlet(np.ones(atoms)),
-                                   rng.uniform(0.01, 0.99, atoms), 0.5)
+                                   rng.uniform(0.01, 0.99, atoms))
             s = np.concatenate([rng.uniform(0.0, 2.0, 61), 0.5 * 0.5 ** np.arange(30)])
             batched = g(s)
             assert np.array_equal(batched, [g(x) for x in s])
@@ -174,6 +206,10 @@ class TestSeriesExtraction:
     def test_order_budget(self):
         with pytest.raises(ValueError, match="budget"):
             series_from_bernoulli(1.0, np.array([1.0]), np.array([0.5]), 65)
+
+    def test_nan_h_refused(self):
+        with pytest.raises(ValueError, match="strictly inside"):
+            series_from_bernoulli(1.5, np.array([1.0]), np.array([math.nan]), 4)
 
     # the pgf chi-square check reads its reference p_0..p_alpha from the
     # verdict's extraction at a higher order, which relies on this
@@ -314,7 +350,7 @@ class TestMonteCarlo:
         mc = monte_carlo_pgf(1, EmpiricalMeasure([x0]), occ, replicates=50000, seed=6)
         h = occ.evaluate(x0)
         se = np.sqrt(h * (1 - h) / 50000)
-        assert abs(mc.coefficients[1] - h) <= 3 * se + occ.h_bias_bound * 0.1
+        assert abs(mc.coefficients[1] - h) <= 3 * se
 
     def test_chi_square_against_series(self, dom):
         occ = occupation(dom, [(0.2, 0.45)], t=0.05, alpha=2)
