@@ -54,5 +54,5 @@ print(f"  evidence: {lim.divergence_flag[1]}")
 
 print("\nMass probe: as A fills the torus, the log-log slope of g tends to alpha:")
 for cov in (0.5, 0.9, 0.99):
-    slope = mass_slope_probe(1.5, coverage=cov, t=0.005, dom=dom)
+    slope = mass_slope_probe(1.5, coverage=cov, t=0.005)
     print(f"  coverage {cov:4.2f}: slope {slope:.3f}   (alpha = 1.5)")

@@ -12,7 +12,9 @@ z = 0 if it matches its target to 1e-9, else inf), 3 I/O failure.
 The config schema is written once, as the fields of RunConfig: the
 flags, the config-file keys, their defaults and the manifest's config
 echo are all read from them, and the argument parser is built from them
-once per process, on first use.  Flags override config-file values;
+once per process, on first use; grid is read by breakdown and vhj-check
+only (duality picks its own grid, pgf uses none), though every manifest
+echoes it.  Flags override config-file values;
 DKLAB_THREADS caps the worker threads of the martingale path ensemble,
 the only work that runs on threads, at most one a core, and never
 changes results.
@@ -61,7 +63,8 @@ class RunConfig:
     file and manifest values are read through the field's annotated type,
     a field's default is the value used when neither flag nor file gives
     one, and the manifest echoes the fields in this order (out as its
-    results_file).
+    results_file).  A field an experiment does not read is echoed all the
+    same: grid is read by breakdown and vhj-check only.
     """
 
     experiment: str
@@ -266,16 +269,13 @@ def _f_suite_for(cfg: RunConfig):
 
 
 def _run_duality(cfg: RunConfig):
-    dom = TorusDomain(cfg.grid)
     mu0 = cfg.atoms()
     header = ["alpha", "t", "f_id", "replicates", "mc_mean", "mc_stderr", "rhs", "z", "verdict"]
     rows, verdicts, seeds = [], [], []
     for idx, (f_id, f) in enumerate(_f_suite_for(cfg)):
         cell_seed = derive_seed(cfg.seed, idx)
         seeds.append(cell_seed)
-        rep = run_duality_test(
-            int(cfg.alpha), mu0, f, cfg.t, cfg.replicates, cell_seed, dom=dom, f_id=f_id
-        )
+        rep = run_duality_test(int(cfg.alpha), mu0, f, cfg.t, cfg.replicates, cell_seed, f_id=f_id)
         rows.append(
             [rep.alpha, rep.t, rep.f_id, rep.replicates, rep.mc_mean,
              rep.mc_stderr, rep.rhs, rep.z_score, rep.verdict]

@@ -679,25 +679,19 @@ def compare_histogram(
 # ---------------------------------------------------------------------------
 
 
-def mass_slope_probe(
-    alpha: float,
-    coverage: float,
-    t: float,
-    dom: TorusDomain | None = None,
-) -> float:
+def mass_slope_probe(alpha: float, coverage: float, t: float) -> float:
     """Fitted log-log slope of g for A covering the given fraction.
 
     As A grows to the whole space, h tends to 1 and g(s) to s^alpha, so the
     fitted slope tends to alpha.  Because h < 1 strictly, the true slope
     decays to 0 as s -> 0+, so the fit window must keep s well above
     1 - h; the window, 12 log-spaced points on [0.3, 1], does for
-    coverages up to 0.99.  Initial mass is uniform: one atom at each point
-    of the grid, the uniform grid rule.
+    coverages up to 0.99.  Initial mass is uniform: one atom at each of
+    the 256 points j/256, the uniform grid rule.
     """
-    dom = dom or TorusDomain(256)
     gap = 1.0 - coverage
-    occ = occupation(dom, [(gap / 2, 1.0 - gap / 2)], t, alpha)
-    g = build_g(alpha, EmpiricalMeasure(dom.grid()), occ)
+    occ = occupation(None, [(gap / 2, 1.0 - gap / 2)], t, alpha)
+    g = build_g(alpha, EmpiricalMeasure(np.arange(256) / 256), occ)
     svals = np.exp(np.linspace(np.log(0.3), np.log(1.0), 12))
     slope = np.polyfit(np.log(svals), np.log(g(svals)), 1)[0]
     return float(slope)

@@ -233,8 +233,9 @@ def vhj_residual(
     For each level the residual is measured from the field triple
     (t - dt, t, t + dt); the spatial terms carry no discretization error,
     so the residual is the centered-difference error and should shrink at
-    second order.  A residual that is not finite (at t so large that
-    t + dt == t) raises ArithmeticError.  A residual of at most
+    second order.  A t that is not finite, or so large that t +- dt rounds
+    to t at the finest dt, raises ValueError before any work; a residual
+    that is still not finite raises ArithmeticError.  A residual of at most
     16 eps max|V| / dt, with max|V| over the level's three fields, is the
     round-off floor of the centered difference (exactly zero included),
     and the order into such a level is inf.
@@ -245,6 +246,9 @@ def vhj_residual(
     """
     if num_levels < 2:
         raise ValueError("need at least 2 refinement levels to observe an order")
+    dt = dt0 / 2 ** (num_levels - 1)
+    if not t - dt < t < t + dt:  # also false for a t that is nan or inf
+        raise ValueError(f"t = {t}: must be finite, with t - {dt} < t < t + {dt} (finest step)")
     _refuse(alpha, t - dt0)  # the earliest time, refused before any work
     u0_hat = _project(dom, f, alpha)
     center = _propagate(dom, f, alpha, t, u0_hat)

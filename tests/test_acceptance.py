@@ -58,7 +58,7 @@ def dom():
     return TorusDomain(256)
 
 
-def test_criterion_1_duality_sweep(dom):
+def test_criterion_1_duality_sweep():
     """alpha x t x f sweep: >= 26/27 cells inside 3 sigma, under 5 minutes."""
     start = time.perf_counter()
     reports = sweep(
@@ -67,7 +67,6 @@ def test_criterion_1_duality_sweep(dom):
         f_suite=default_f_suite(),
         replicates=10**5,
         seed=1001,
-        dom=dom,
     )
     elapsed = time.perf_counter() - start
     passed, total = pass_rate(reports)
@@ -81,11 +80,11 @@ def test_criterion_1_duality_sweep(dom):
     assert ok
 
 
-def test_criterion_2_single_particle_closed_form(dom):
+def test_criterion_2_single_particle_closed_form():
     """n = 1 reduces to a 1-D wrapped-heat-kernel integral (vhj-free oracle)."""
     f = FourierFunction.from_modes(mean=1.0, cos={1: 0.5})
     t = 0.05
-    rep = run_duality_test(1, EmpiricalMeasure([0.5]), f, t, 10**5, seed=1002, dom=dom)
+    rep = run_duality_test(1, EmpiricalMeasure([0.5]), f, t, 10**5, seed=1002)
     quad = kernel_quadrature(lambda y: np.exp(-f.evaluate(y)), 0.5, t)
     gap = abs(rep.mc_mean - quad)
     ok = report(
@@ -197,7 +196,7 @@ def test_criterion_6_nonexistence_witnesses(dom):
     half_ok = repc.verdict != "consistent-integer"
 
     # (d) growing occupation set: log-log slope approaches alpha
-    slope = mass_slope_probe(1.5, coverage=0.99, t=0.005, dom=dom)
+    slope = mass_slope_probe(1.5, coverage=0.99, t=0.005)
     slope_ok = abs(slope - 1.5) <= 0.05
 
     ok = report(

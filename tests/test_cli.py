@@ -146,6 +146,17 @@ class TestRuns:
             tables.append(out.read_bytes())
         assert tables[0] == tables[1] == tables[2]
 
+    def test_duality_ignores_grid(self, tmp_path):
+        # the rhs picks its own Cole-Hopf grid: at --grid 8 it was projected
+        # there, and this request exited 2 (z = +2.80, +47.5, -5.15)
+        tables = []
+        for grid in ("8", "16", "256"):
+            out = tmp_path / f"duality-{grid}.csv"
+            assert run_cli(["duality", "--alpha", "1", "--t", "0.001", "--grid", grid,
+                            "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1] == tables[2]
+
     def test_breakdown_summary(self, tmp_path):
         out = tmp_path / "bd.csv"
         code = run_cli(

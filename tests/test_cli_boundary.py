@@ -457,6 +457,10 @@ def test_pgf_refuses_with_no_table_and_no_warning(argv, tmp_path, monkeypatch, c
     (["pgf", "--alpha", "2", "--mu0", "0.1,-inf", "--replicates", "100"], "positions"),
     (["duality", "--alpha", "2", "--mu0", "0.5,nan"], "positions"),
     (["pgf", "--alpha", "1.5", "--mu0", "nan"], "positions"),
+    # a t with no centered difference around it, refused before any work
+    (["vhj-check", "--alpha", "1", "--t", "nan", "--suite", "2"], "t = nan"),
+    (["vhj-check", "--alpha", "1", "--t", "inf", "--suite", "2"], "t = inf"),
+    (["vhj-check", "--alpha", "1", "--t", "1e308", "--suite", "2"], "t = 1e+308"),
 ])
 def test_refused_up_front_with_no_numpy_warning(argv, cause, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -12,6 +12,7 @@ from dklab import (
     TorusDomain,
     default_f_suite,
     equally_spaced_atoms,
+    laplace_rhs,
     pass_rate,
     run_duality_test,
     sweep,
@@ -20,81 +21,74 @@ from dklab.torus import wrap
 from oracles import kernel_quadrature
 
 
-@pytest.fixture(scope="module")
-def dom():
-    return TorusDomain(256)
-
-
 def bump():
     return FourierFunction.from_modes(mean=1.0, cos={1: 0.5})
 
 
 class TestSingleCell:
-    def test_time_zero_exact(self, dom):
+    def test_time_zero_exact(self):
         mu0 = equally_spaced_atoms(2)
-        rep = run_duality_test(2, mu0, bump(), 0.0, 1000, seed=1, dom=dom)
+        rep = run_duality_test(2, mu0, bump(), 0.0, 1000, seed=1)
         expected = np.exp(-np.mean(bump().evaluate(mu0.positions)))
         assert rep.mc_stderr <= 1e-16  # pure summation round-off
         assert abs(rep.mc_mean - expected) < 1e-14
         assert abs(rep.rhs - expected) < 1e-9
         assert rep.verdict
 
-    def test_constant_f_exact(self, dom):
+    def test_constant_f_exact(self):
         mu0 = equally_spaced_atoms(3)
-        rep = run_duality_test(
-            3, mu0, FourierFunction.constant(0.7), 0.08, 1000, seed=2, dom=dom
-        )
+        rep = run_duality_test(3, mu0, FourierFunction.constant(0.7), 0.08, 1000, seed=2)
         assert abs(rep.mc_mean - np.exp(-0.7)) < 1e-12
         assert abs(rep.rhs - np.exp(-0.7)) < 1e-9
         assert rep.verdict
 
-    def test_non_integer_alpha_rejected(self, dom):
+    def test_non_integer_alpha_rejected(self):
         with pytest.raises(ValueError, match="non-integer"):
-            run_duality_test(1.5, EmpiricalMeasure([0.5]), bump(), 0.05, 100, 3, dom=dom)
+            run_duality_test(1.5, EmpiricalMeasure([0.5]), bump(), 0.05, 100, 3)
 
-    def test_atom_count_checked(self, dom):
+    def test_atom_count_checked(self):
         with pytest.raises(ValueError, match="atoms"):
-            run_duality_test(2, EmpiricalMeasure([0.5]), bump(), 0.05, 100, 3, dom=dom)
+            run_duality_test(2, EmpiricalMeasure([0.5]), bump(), 0.05, 100, 3)
 
-    def test_spread_past_2_to_38_refused(self, dom):
+    def test_spread_past_2_to_38_refused(self):
         mu0 = EmpiricalMeasure([0.25, 0.75])
         with pytest.raises(ValueError, match="fractional bits"):
-            run_duality_test(2, mu0, bump(), np.nextafter(2.0**37, np.inf), 100, 3, dom=dom)
+            run_duality_test(2, mu0, bump(), np.nextafter(2.0**37, np.inf), 100, 3)
 
     @pytest.mark.parametrize("replicates", [2, 3, 1001])
-    def test_replicates_must_make_two_antithetic_pairs(self, dom, replicates):
+    def test_replicates_must_make_two_antithetic_pairs(self, replicates):
         with pytest.raises(ValueError, match=f"replicates: {replicates} given"):
-            run_duality_test(1, EmpiricalMeasure([0.5]), bump(), 0.05, replicates, 3, dom=dom)
+            run_duality_test(1, EmpiricalMeasure([0.5]), bump(), 0.05, replicates, 3)
 
-    def test_single_particle_against_quadrature(self, dom):
+    def test_single_particle_against_quadrature(self):
         # n = 1 closed form: E exp(-f(X_t)) = integral of the wrapped kernel
         # against exp(-f); fully independent of the Cole-Hopf code path
         f = bump()
         t = 0.05
-        rep = run_duality_test(1, EmpiricalMeasure([0.5]), f, t, 10**5, seed=4, dom=dom)
+        rep = run_duality_test(1, EmpiricalMeasure([0.5]), f, t, 10**5, seed=4)
         quad = kernel_quadrature(lambda y: np.exp(-f.evaluate(y)), 0.5, t)
         assert abs(rep.mc_mean - quad) <= 3 * rep.mc_stderr
         # and the Cole-Hopf rhs agrees with the quadrature to solver accuracy
         assert abs(rep.rhs - quad) < 1e-8
 
-    def test_in_unit_interval_for_nonnegative_f(self, dom):
-        rep = run_duality_test(2, equally_spaced_atoms(2), bump(), 0.05, 4000, 5, dom=dom)
+    def test_in_unit_interval_for_nonnegative_f(self):
+        rep = run_duality_test(2, equally_spaced_atoms(2), bump(), 0.05, 4000, 5)
         assert 0.0 < rep.mc_mean <= 1.0
         assert 0.0 < rep.rhs <= 1.0
 
-    def test_deterministic(self, dom):
-        one = run_duality_test(2, equally_spaced_atoms(2), bump(), 0.05, 2000, 7, dom=dom)
-        two = run_duality_test(2, equally_spaced_atoms(2), bump(), 0.05, 2000, 7, dom=dom)
+    def test_deterministic(self):
+        one = run_duality_test(2, equally_spaced_atoms(2), bump(), 0.05, 2000, 7)
+        two = run_duality_test(2, equally_spaced_atoms(2), bump(), 0.05, 2000, 7)
         assert one == two
 
-    def test_monotone_in_f(self, dom):
+    def test_monotone_in_f(self):
         # pointwise larger f pushes both sides down; with common random
         # numbers the Monte Carlo side is monotone replicate by replicate
         f = bump()
         g = f + FourierFunction.constant(0.25)
         mu0 = equally_spaced_atoms(2)
-        rf = run_duality_test(2, mu0, f, 0.05, 4000, 8, dom=dom)
-        rg = run_duality_test(2, mu0, g, 0.05, 4000, 8, dom=dom)
+        rf = run_duality_test(2, mu0, f, 0.05, 4000, 8)
+        rg = run_duality_test(2, mu0, g, 0.05, 4000, 8)
         assert rg.mc_mean < rf.mc_mean
         assert rg.rhs < rf.rhs
 
@@ -104,36 +98,36 @@ class TestPieces:
     draws: whole blocks where one fits, else at least one pair."""
 
     @pytest.mark.parametrize("n", [3, 9])
-    def test_piece_size_does_not_change_the_report(self, dom, n, monkeypatch):
+    def test_piece_size_does_not_change_the_report(self, n, monkeypatch):
         # 1001 pairs; n = 9 puts more atoms in a pair than numpy sums in
         # one unrolled block, so a sum over atoms that depended on the
         # number of pairs in its piece would show
         f = FourierFunction.from_modes(mean=0.4, cos={1: 0.3, 4: -0.2}, sin={2: 0.25, 5: 0.1})
         args = (n, equally_spaced_atoms(n), f, 0.03, 2002, 2**63 + 5)
-        want = run_duality_test(*args, dom=dom)
+        want = run_duality_test(*args)
         # a pair a piece, then 333 pairs (a last piece of 2), then 7 (143 full pieces)
         for piece_bytes in (1, 8 * n * 333 + 5, 8 * n * 7):
             monkeypatch.setattr(duality, "_PIECE_BYTES", piece_bytes)
-            assert run_duality_test(*args, dom=dom) == want
+            assert run_duality_test(*args) == want
 
-    def test_pieces_of_one_block_give_the_same_report(self, dom, monkeypatch):
+    def test_pieces_of_one_block_give_the_same_report(self, monkeypatch):
         # 3077 pairs at n = 2: one piece of 8 blocks by default, four
         # pieces (the last of 5 pairs) at one block a piece
         f = default_f_suite()[2][1]
         args = (2, equally_spaced_atoms(2), f, 0.05, 6154, 2**63 + 9)
-        want = run_duality_test(*args, dom=dom)
+        want = run_duality_test(*args)
         monkeypatch.setattr(duality, "_PIECE_BYTES", 8 * 2 * 1024)
-        assert run_duality_test(*args, dom=dom) == want
+        assert run_duality_test(*args) == want
 
-    def test_thread_count_does_not_change_the_report(self, dom, monkeypatch):
+    def test_thread_count_does_not_change_the_report(self, monkeypatch):
         args = (3, equally_spaced_atoms(3), bump(), 0.04, 2 * 2100, 17)
         reports = []
         for threads in ("1", "2"):
             monkeypatch.setenv("DKLAB_THREADS", threads)
-            reports.append(run_duality_test(*args, dom=dom))
+            reports.append(run_duality_test(*args))
         assert reports[0] == reports[1]
 
-    def test_peak_memory_does_not_grow_with_replicates(self, dom):
+    def test_peak_memory_does_not_grow_with_replicates(self):
         # n = 2: pieces of 8192 pairs, so both runs take many full pieces
         mu0 = equally_spaced_atoms(2)
         f = default_f_suite()[2][1]
@@ -141,7 +135,7 @@ class TestPieces:
         def peak(replicates):
             tracemalloc.start()
             try:
-                run_duality_test(2, mu0, f, 0.05, replicates, 12, dom=dom)
+                run_duality_test(2, mu0, f, 0.05, replicates, 12)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -151,20 +145,54 @@ class TestPieces:
         values = 8 * (4 * 10**5 - 2 * 10**5) // 2  # one float64 a pair
         assert large - small <= values + 64 * 1024
 
-    def test_peak_memory_does_not_grow_with_alpha(self, dom):
+    def test_peak_memory_does_not_grow_with_alpha(self):
         # at alpha = 256 a block of draws is 2 MiB, so the pieces (64 pairs
         # at the default cap) must be smaller than a block: pieces of one
         # whole block would peak at 12.7 MB here
         mu0 = equally_spaced_atoms(256)
         f = default_f_suite()[2][1]
-        run_duality_test(256, mu0, f, 0.01, 200, 12, dom=dom)
+        run_duality_test(256, mu0, f, 0.01, 200, 12)
         tracemalloc.start()
         try:
-            run_duality_test(256, mu0, f, 0.01, 4096, 12, dom=dom)
+            run_duality_test(256, mu0, f, 0.01, 4096, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * 10**6, peak
+
+
+class TestRhsGrid:
+    """laplace_rhs picks its own Cole-Hopf grid, from 256 up."""
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 5])
+    def test_against_kernel_quadrature(self, alpha):
+        # exp(-<mu_0, V_t f>) is the product over the atoms x of
+        # E exp(-f(X)/alpha), X the atom moved by a heat kernel of variance
+        # alpha t: no Cole-Hopf code on this side
+        mu0 = equally_spaced_atoms(alpha)
+        for t in (0.001, 0.01, 0.05, 0.2):
+            for f_id, f in default_f_suite():
+                want = np.prod([kernel_quadrature(lambda y: np.exp(-f.evaluate(y) / alpha),
+                                                  x, alpha * t) for x in mu0.positions])
+                got = laplace_rhs(mu0, f, alpha, t)
+                assert abs(got - want) <= 1e-14 * want, (f_id, t, got, want)
+
+    def test_rough_f_refines_the_grid(self):
+        # mode 200 starts the search at 512, where the rhs is 1.8e-11 off
+        f = FourierFunction.from_modes(mean=1.0, cos={1: 0.5, 200: 0.3})
+        want = kernel_quadrature(lambda y: np.exp(-f.evaluate(y)), 0.5, 0.001, points=1 << 16)
+        got = laplace_rhs(EmpiricalMeasure([0.5]), f, 1, 0.001)
+        assert abs(got - want) <= 1e-14 * want, (got, want)
+
+    def test_unresolved_past_the_largest_grid_refused(self):
+        # grid 2**15 holds mode 12000 in its top half, 2**16 its harmonic 24000
+        f = FourierFunction.from_modes(mean=1.0, cos={12000: 0.5})
+        with pytest.raises(ValueError, match="top mode 12000.* 65536 points"):
+            laplace_rhs(EmpiricalMeasure([0.5]), f, 1, 0.001)
+
+    def test_dom_is_ignored(self):
+        args = (1, equally_spaced_atoms(1), default_f_suite()[2][1], 0.001, 2000, 21)
+        assert run_duality_test(*args, dom=TorusDomain(8)) == run_duality_test(*args)
 
 
 def pairings_long_double(f, x0, step):
@@ -233,20 +261,20 @@ class TestPairingAccuracy:
 
 
 class TestSweep:
-    def test_empty_sweep(self, dom):
-        assert sweep([], [], default_f_suite(), 100, 1, dom=dom) == []
+    def test_empty_sweep(self):
+        assert sweep([], [], default_f_suite(), 100, 1) == []
 
-    def test_small_sweep_pass_rate(self, dom):
-        reports = sweep([1, 2], [0.02, 0.05], default_f_suite(), 20000, seed=9, dom=dom)
+    def test_small_sweep_pass_rate(self):
+        reports = sweep([1, 2], [0.02, 0.05], default_f_suite(), 20000, seed=9)
         passed, total = pass_rate(reports)
         assert total == 12
         assert passed >= 11  # 3-sigma false-alarm budget
 
-    def test_sweep_deterministic(self, dom):
-        a = sweep([1], [0.02], default_f_suite(), 2000, seed=10, dom=dom)
-        b = sweep([1], [0.02], default_f_suite(), 2000, seed=10, dom=dom)
+    def test_sweep_deterministic(self):
+        a = sweep([1], [0.02], default_f_suite(), 2000, seed=10)
+        b = sweep([1], [0.02], default_f_suite(), 2000, seed=10)
         assert a == b
 
-    def test_cells_use_distinct_seeds(self, dom):
-        reports = sweep([1], [0.02, 0.05], default_f_suite()[:1], 2000, seed=11, dom=dom)
+    def test_cells_use_distinct_seeds(self):
+        reports = sweep([1], [0.02, 0.05], default_f_suite()[:1], 2000, seed=11)
         assert reports[0].seed != reports[1].seed

@@ -171,8 +171,8 @@ class TestGeneratingFunction:
             assert np.array_equal(batched, [g(x) for x in s])
             assert np.array_equal(g(s.reshape(13, 7)), batched.reshape(13, 7))
 
-    def test_slope_probe_approaches_alpha(self, dom):
-        slopes = [mass_slope_probe(1.5, c, t=0.005, dom=dom) for c in (0.5, 0.9, 0.99)]
+    def test_slope_probe_approaches_alpha(self):
+        slopes = [mass_slope_probe(1.5, c, t=0.005) for c in (0.5, 0.9, 0.99)]
         assert slopes[0] < slopes[1] < slopes[2] < 1.5
         assert abs(slopes[2] - 1.5) < 0.05
 

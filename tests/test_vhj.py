@@ -120,10 +120,14 @@ class TestResidual:
         assert rep.levels[1].residual_sup <= 1e-4
 
     def test_non_finite_residual_refused(self, dom):
-        # t + dt == t at t = 1e30: the centred difference is 0/0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # t + dt == t at t = 1e30: no centred difference, refused before any work
+        with pytest.raises(ValueError, match=r"t = 1e\+30"):
+            vhj_residual(dom, bump(), 1.0, 1e30)
+        # exp(-f) overflows at f near -800: the residual is nan
+        f = FourierFunction.from_modes(mean=-800.0, cos={1: 0.5})
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ArithmeticError, match="nan"):
-                vhj_residual(dom, bump(), 1.0, 1e30)
+                vhj_residual(dom, f, 1.0, 0.05)
 
     def test_exact_zero_residual_gives_order_inf(self, dom):
         # the round-off floor: the flow is constant to the last bit
