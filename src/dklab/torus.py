@@ -81,8 +81,11 @@ def _turns(k, x):
     return turns - np.rint(turns)
 
 
-def _cos_sin_turns(r: np.ndarray):
-    """(cos 2 pi r, sin 2 pi r) for turns r in [-1/2, 1/2]; r is overwritten.
+def _cos_sin_turns(r: np.ndarray, cos: np.ndarray, work: np.ndarray):
+    """(cos 2 pi r, sin 2 pi r) for turns r in [-1/2, 1/2], into cos and r.
+
+    cos has r's shape and work three times it, (3, *r.shape); work is
+    overwritten, and nothing is allocated.
 
     r is split, exactly, into its nearest quarter turn q and a rest in
     [-1/8, 1/8] turns, so libm's cos and sin see only [-pi/4, pi/4], where
@@ -90,14 +93,15 @@ def _cos_sin_turns(r: np.ndarray):
     is then an exact rotation, by cos(q pi/2) = 1 - |q| and sin(q pi/2) =
     q (2 - |q|) for q in {-2, ..., 2}.
     """
+    q, cos_q, scratch = work
     r *= 4.0
-    q = np.rint(r)
+    np.rint(r, out=q)
     r -= q
     r *= TWO_PI / 4
-    cos_r = np.cos(r)
+    cos_r = np.cos(r, out=cos)
     sin_r = np.sin(r, out=r)
-    cos_q = np.abs(q)
-    scratch = np.subtract(2.0, cos_q)
+    np.abs(q, out=cos_q)
+    np.subtract(2.0, cos_q, out=scratch)
     sin_q = np.multiply(q, scratch, out=q)
     np.subtract(1.0, cos_q, out=cos_q)
     np.multiply(sin_r, sin_q, out=scratch)

@@ -6,6 +6,8 @@ direct convolution for the Poisson binomial, quadrature against the
 periodized Gaussian kernel, the defining spectral identity for the
 squared-gradient form, the chi-square tail summed in 60-digit decimal
 arithmetic, and the block-convention draws read off whole live streams.
+The one exception is the antithetic pairing with fresh arrays, kept as
+the bitwise reference of the in-place one.
 """
 
 from __future__ import annotations
@@ -206,3 +208,60 @@ def block_increments(
             blocks[b] = RngStream(seed, key).generator.standard_normal(1024 * width)
         out[j] = blocks[b][k * width : (k + 1) * width]
     return out
+
+
+def antithetic_pairings_allocating(mean: float, shifts, step: np.ndarray):
+    """(<mu^+, f>, <mu^-, f>) of each pair, every array of the arithmetic fresh.
+
+    The reference for the in-place duality._antithetic_pairings, operation
+    for operation, so the two must agree bit for bit: shifts is
+    duality._shift_table(f, atoms), step has one row per pair and one
+    column per atom, and is overwritten.
+    """
+    modes, c, d = shifts
+    pairs, n = step.shape
+    even = np.zeros(pairs)
+    odd = np.zeros(pairs)
+    if modes.size:
+        step -= np.rint(step)
+        c1, s1 = _cos_sin_turns_allocating(step)
+        ck, sk = c1, s1
+        if modes[-1] > 1:
+            ck, sk = c1.copy(), s1.copy()
+            cs, ss = np.empty_like(c1), np.empty_like(c1)
+        row = 0
+        for k in range(1, modes[-1] + 1):
+            if k > 1:
+                np.multiply(ck, s1, out=cs)
+                np.multiply(sk, s1, out=ss)
+                ck *= c1
+                ck -= ss
+                sk *= c1
+                sk += cs
+            if k == modes[row]:
+                even += np.einsum("pi,i->p", ck, c[row])
+                odd += np.einsum("pi,i->p", sk, d[row])
+                row += 1
+    return mean + (even + odd) / n, mean + (even - odd) / n
+
+
+def _cos_sin_turns_allocating(r: np.ndarray):
+    """(cos 2 pi r, sin 2 pi r) by the quarter-turn split of torus._cos_sin_turns,
+    its work arrays fresh; r is overwritten."""
+    r *= 4.0
+    q = np.rint(r)
+    r -= q
+    r *= np.pi / 2
+    cos_r = np.cos(r)
+    sin_r = np.sin(r, out=r)
+    cos_q = np.abs(q)
+    scratch = np.subtract(2.0, cos_q)
+    sin_q = np.multiply(q, scratch, out=q)
+    np.subtract(1.0, cos_q, out=cos_q)
+    np.multiply(sin_r, sin_q, out=scratch)
+    sin_r *= cos_q
+    sin_q *= cos_r
+    sin_r += sin_q
+    cos_r *= cos_q
+    cos_r -= scratch
+    return cos_r, sin_r

@@ -331,7 +331,7 @@ class TestNonFiniteStatistics:
             code = run_cli(NON_FINITE["duality-t-nan"] + ["--out", str(tmp_path / "r.csv")])
         assert code == 1
         assert not caught
-        assert capsys.readouterr().err.startswith("dklab: z: not finite")
+        assert capsys.readouterr().err.startswith("dklab: t = nan: must be finite")
 
     def test_martingale_at_t_zero_passes_with_z_zero(self, tmp_path):
         out = tmp_path / "m.csv"

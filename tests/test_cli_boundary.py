@@ -461,6 +461,9 @@ def test_pgf_refuses_with_no_table_and_no_warning(argv, tmp_path, monkeypatch, c
     (["vhj-check", "--alpha", "1", "--t", "nan", "--suite", "2"], "t = nan"),
     (["vhj-check", "--alpha", "1", "--t", "inf", "--suite", "2"], "t = inf"),
     (["vhj-check", "--alpha", "1", "--t", "1e308", "--suite", "2"], "t = 1e+308"),
+    # a t that is not finite, refused before the right-hand side or any draw
+    (["duality", "--alpha", "1", "--t", "nan"], "t = nan"),
+    (["duality", "--alpha", "1", "--t", "inf"], "t = inf"),
 ])
 def test_refused_up_front_with_no_numpy_warning(argv, cause, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
 """Laplace-duality Monte Carlo against the Cole-Hopf right-hand side."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,8 @@ from dklab import (
     sweep,
 )
 from dklab.torus import wrap
-from oracles import kernel_quadrature
+from dklab.vhj import cole_hopf
+from oracles import antithetic_pairings_allocating, kernel_quadrature
 
 
 def bump():
@@ -160,6 +163,79 @@ class TestPieces:
             tracemalloc.stop()
         assert peak < 3 * 10**6, peak
 
+    @pytest.mark.parametrize("replicates", [2 * 10**4, 2 * 10**5])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_pieces_allocate_nothing(self, n, replicates):
+        # the draws and every pairing array live in the thread's workspace,
+        # and the rhs is cached: once a first call has sized the one and
+        # filled the other, a cell allocates its values and a few small
+        # objects (the block stream ids, about 35 bytes a block)
+        args = (n, equally_spaced_atoms(n), default_f_suite()[2][1], 0.05, replicates, 12)
+        run_duality_test(*args)
+        tracemalloc.start()
+        try:
+            run_duality_test(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (replicates // 2) + 16 * 1024, peak
+
+    def test_threads_running_different_cells_give_the_sequential_reports(self):
+        # four threads, switching every 10 us: cells of different alpha
+        # size the workspace differently, so a workspace shared between
+        # threads would mix their pieces
+        f = default_f_suite()[1][1]
+        cells = [(n, equally_spaced_atoms(n), f, 0.04, 4000, 100 + n) for n in (1, 2, 5, 17)]
+        want = [run_duality_test(*cell) for cell in cells]
+        got = [[] for _ in cells]
+        start = threading.Barrier(len(cells))
+
+        def run(i):
+            start.wait(timeout=30)
+            for _ in range(3):
+                got[i].append(run_duality_test(*cells[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cells))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[report] * 3 for report in want]
+
+
+class TestInPlacePairing:
+    """_antithetic_pairings writes to its work buffer, and agrees bit for bit
+    with the same arithmetic on fresh arrays (oracles)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 40])
+    def test_bitwise_the_allocating_pairing(self, n):
+        rng = np.random.Generator(np.random.Philox(key=(23, n)))
+        suite = [FourierFunction.from_modes(mean=0.7),
+                 FourierFunction.from_modes(mean=0.3, cos={2: 0.4}, sin={5: -0.2})]
+        suite += [FourierFunction(rng.uniform(-1, 1), rng.uniform(-1, 1, m),
+                                  rng.uniform(-1, 1, m)) for m in range(1, 7)]
+        x0 = equally_spaced_atoms(n).positions
+        cap = duality._PIECE_BYTES // (8 * n)
+        cap = cap - cap % 1024 if cap >= 1024 else max(1, cap)
+        # around a block (1024 pairs) and a piece (cap pairs)
+        counts = sorted({c for edge in (1024, cap) for c in (edge - 1, edge, edge + 1)} | {1, 2})
+        work = np.full(duality._pairing_entries(max(counts), n), np.nan)  # reused: no stale value
+        for t in (0.0, 1e-3, 0.05, 3.0):
+            for f in suite:
+                shifts = duality._shift_table(f, x0)
+                for pairs in counts:
+                    step = np.sqrt(n * t) * rng.standard_normal((pairs, n))
+                    want = antithetic_pairings_allocating(f.mean, shifts, step.copy())
+                    got = duality._antithetic_pairings(f.mean, shifts, step.copy(), work)
+                    for g, w in zip(got, want):
+                        assert g.tobytes() == w.tobytes(), (t, f, pairs)
+
 
 class TestRhsGrid:
     """laplace_rhs picks its own Cole-Hopf grid, from 256 up."""
@@ -193,6 +269,85 @@ class TestRhsGrid:
     def test_dom_is_ignored(self):
         args = (1, equally_spaced_atoms(1), default_f_suite()[2][1], 0.001, 2000, 21)
         assert run_duality_test(*args, dom=TorusDomain(8)) == run_duality_test(*args)
+
+
+class TestRhsCache:
+    """laplace_rhs solves each distinct cell once, through the module's cole_hopf."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].grid_size)
+            return cole_hopf(*args)
+
+        duality._cell_rhs.cache_clear()
+        monkeypatch.setattr(duality, "cole_hopf", counted)
+        yield calls
+        duality._cell_rhs.cache_clear()
+
+    def test_a_cell_is_solved_once(self, solves):
+        mu0, f = equally_spaced_atoms(2), default_f_suite()[2][1]
+        a = run_duality_test(2, mu0, f, 0.05, 2000, 1)
+        b = run_duality_test(2, mu0, f, 0.05, 2000, 2)
+        assert solves == [256] and a.rhs == b.rhs
+
+    def test_one_bit_of_any_number_is_a_miss(self, solves):
+        up = np.nextafter
+        x0, f = equally_spaced_atoms(3).positions, default_f_suite()[2][1]
+        a, b = f.cos_coeffs, f.sin_coeffs
+
+        def fn(mean=f.mean, cos=a, sin=b):
+            return FourierFunction(mean, cos, sin)
+
+        def cell(x=x0, g=None, alpha=3, t=0.05):
+            return EmpiricalMeasure(x), g or fn(), alpha, t
+
+        cells = [
+            cell(),
+            cell(x=np.where(np.arange(3) == 1, up(x0, 1), x0)),
+            cell(g=fn(mean=up(f.mean, 2))),
+            cell(g=fn(cos=np.where(np.arange(a.size) == 2, up(a, 1), a))),
+            cell(g=fn(sin=np.where(np.arange(b.size) == 1, up(b, 1), b))),
+            cell(alpha=up(3.0, 4)),
+            cell(t=up(0.05, 1)),
+            cell(t=0.0),
+            cell(t=-0.0),
+        ]
+        for i, c in enumerate(cells):
+            laplace_rhs(*c)
+            assert len(solves) == i + 1
+        for c in cells:  # every one of them is now a hit
+            laplace_rhs(*c)
+        assert len(solves) == len(cells)
+
+    def test_a_hit_is_bitwise_the_miss(self, solves):
+        args = (5, equally_spaced_atoms(5), default_f_suite()[1][1], 0.1, 2000, 3)
+        miss = run_duality_test(*args)
+        hit = run_duality_test(*args)
+        assert len(solves) == 1
+        assert np.float64(hit.rhs).tobytes() == np.float64(miss.rhs).tobytes()
+        assert repr(hit) == repr(miss)
+
+    def test_an_unresolved_f_is_never_kept(self, solves):
+        f = FourierFunction.from_modes(mean=1.0, cos={12000: 0.5})
+        for attempt in (1, 2):
+            with pytest.raises(ValueError, match="not resolved"):
+                laplace_rhs(EmpiricalMeasure([0.5]), f, 1, 0.001)
+            assert solves == [32768, 65536] * attempt
+        assert duality._cell_rhs.cache_info().currsize == 0
+
+    def test_the_cache_stays_bounded(self, solves):
+        mu0, f = equally_spaced_atoms(1), default_f_suite()[0][1]
+        times = [k * 1e-3 for k in range(duality._RHS_CELLS + 3)]
+        for t in times:
+            laplace_rhs(mu0, f, 1, t)
+        assert duality._cell_rhs.cache_info().currsize == duality._RHS_CELLS
+        laplace_rhs(mu0, f, 1, times[-1])  # kept
+        assert len(solves) == len(times)
+        laplace_rhs(mu0, f, 1, times[0])  # the least recently used, dropped
+        assert len(solves) == len(times) + 1
 
 
 def pairings_long_double(f, x0, step):
@@ -245,7 +400,9 @@ class TestPairingAccuracy:
             spread = np.repeat(np.sqrt(self.TIMES), self.PAIRS)[:, None]
             step = spread * rng.standard_normal((spread.size, n))
             want = pairings_long_double(f, x0, step)
-            got = duality._antithetic_pairings(f.mean, duality._shift_table(f, x0), step.copy())
+            work = np.empty(duality._pairing_entries(*step.shape))
+            got = duality._antithetic_pairings(f.mean, duality._shift_table(f, x0), step.copy(),
+                                               work)
             today = [f.evaluate(wrap(x0 + sign * step)).mean(axis=1) for sign in (1, -1)]
             for errs, pair in ((new, got), (old, today)):
                 err = np.maximum(*(np.abs(p - w).astype(float) for p, w in zip(pair, want)))
