@@ -34,26 +34,21 @@ that the rounding of x0 + s drops.
 The pairs are walked in pieces of at most _PIECE_BYTES of draws
 (rng.block_pieces, which keeps a block's stream live from piece to
 piece), and a piece allocates nothing: its draws and every array of its
-pairing live in one float64 workspace per thread, grown to the largest
-piece it has served and never shrunk, which the cap bounds at 9 * 2**14
-entries (1.2 MB) for alpha <= 2**14.  The pairing, the exp and the pair
-mean write through out= in the order of the allocating arithmetic they
-replace (kept as the tests' reference), so every value keeps its bits.
-A cell keeps only its 8-byte value per pair; every sum runs within a
-pair, so a value does not depend on the piece it fell in.  The standard
-error is taken from those values in place, with no copy of them.
-
-The right-hand side depends on the cell (atoms, f, alpha, t) alone, not
-on the seed or the replicate count, so laplace_rhs solves it once and
-keeps the last _RHS_CELLS cells.  Cells that come back with fresh seeds
-(benchmark rounds, a size suite over seeds, repeated looks at one cell)
-pay for their draws alone; a one-shot run solves each of its cells once,
-as before.
+pairing live in one float64 workspace per thread.  The cap bounds a
+piece's workspace at _KEPT_ENTRIES = 9 * 2**14 entries (1.2 MB) for
+alpha <= 2**14; the thread keeps it from cell to cell, grown to the
+largest such piece it has served.  A larger one (one pair of 6 alpha + 3
+entries, alpha >= 3 * 2**13) is allocated for its cell alone and freed
+with it.  The pairing, the exp and the pair mean write through out= in
+the order of the allocating arithmetic they replace (kept as the tests'
+reference), so every value keeps its bits.  A cell keeps only its
+8-byte value per pair; every sum runs within a pair, so a value does
+not depend on the piece it fell in.  The standard error is taken from
+those values in place, with no copy of them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -80,24 +75,25 @@ _PIECE_BYTES = 1 << 17
 _RHS_GRID = 256
 _RHS_MAX_GRID = 1 << 16
 _RESOLVED = 64 * np.finfo(float).eps
-# laplace_rhs keeps the values of this many cells, the least recently used
-# dropped first.  A key holds the 8 alpha bytes of its atoms, so the cache
-# stays under 8 MB for alpha up to 2**12; it holds the 27 cells of the
-# criterion-1 grid and the 48 of the size suite whole
-_RHS_CELLS = 256
+# the most entries a thread keeps in its workspace between cells: a
+# piece's draws and _pairing_entries, at most 6 * 2**14 + 3 * 2**14 (one
+# atom, 2**14 pairs) for alpha <= 2**14
+_KEPT_ENTRIES = 9 * (_PIECE_BYTES // 8)
 
 # each thread's workspace: the draws and the pairing arrays of a piece
 _local = threading.local()
 
 
 def _workspace(size: int) -> np.ndarray:
-    """This thread's float64 workspace, grown (never shrunk) to at least size entries.
+    """A float64 workspace of at least size entries.
 
     A cell's pieces write to it through out= arguments, so a cell allocates
-    only its values.  It holds a piece's draws and _pairing_entries, which
-    the piece cap bounds at 9 * 2**14 entries (1.2 MB) for alpha <= 2**14,
-    and at one pair's 6 alpha + 3 above.
+    only its values.  Up to _KEPT_ENTRIES it is this thread's buffer, grown
+    to the largest size asked for and kept from cell to cell; a larger one
+    (alpha >= 3 * 2**13) is allocated for the caller alone.
     """
+    if size > _KEPT_ENTRIES:
+        return np.empty(size)
     buf = getattr(_local, "buf", None)
     if buf is None or buf.size < size:
         buf = _local.buf = np.empty(size)
@@ -131,37 +127,7 @@ def laplace_rhs(mu0: EmpiricalMeasure, f: FourierFunction, alpha: float, t: floa
     two above 2 f.max_mode, until exp(-f/alpha) is resolved: no mode of its
     projection in the top half of the grid's modes is above _RESOLVED max w,
     w the propagated transform.  Past _RHS_MAX_GRID it raises ValueError.
-
-    The value depends on nothing but the cell, so it is solved once per
-    cell: the last _RHS_CELLS cells are kept, keyed on every bit of the
-    atoms, of f's mean and coefficients, of alpha and of t.  A call that
-    raises keeps nothing and raises again the next time.
     """
-    return _cell_rhs(_RhsCell(mu0, f, alpha, t))
-
-
-class _RhsCell:
-    """laplace_rhs's arguments, equal to another's when every bit of their numbers is."""
-
-    __slots__ = ("args", "key")
-
-    def __init__(self, mu0: EmpiricalMeasure, f: FourierFunction, alpha: float, t: float):
-        self.args = (mu0, f, alpha, t)
-        # float64 bits, so that t = -0.0 is not t = 0.0
-        self.key = (mu0.positions.tobytes(), f.cos_coeffs.tobytes(), f.sin_coeffs.tobytes(),
-                    np.array([f.mean, alpha, t], dtype=float).tobytes())
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
-@functools.lru_cache(maxsize=_RHS_CELLS)
-def _cell_rhs(cell: _RhsCell) -> float:
-    """laplace_rhs of one cell, through the module's cole_hopf on every miss."""
-    mu0, f, alpha, t = cell.args
     grid = max(_RHS_GRID, 1 << (2 * f.max_mode).bit_length())
     while grid <= _RHS_MAX_GRID:
         field = cole_hopf(TorusDomain(grid), f, alpha, t)
@@ -185,8 +151,7 @@ def _shift_table(f: FourierFunction, x0: np.ndarray):
     a, b = f.cos_coeffs, f.sin_coeffs
     live = np.flatnonzero((a != 0.0) | (b != 0.0))
     a, b = a[live, None], b[live, None]
-    r = _turns((live + 1)[:, None], x0)
-    c, s = _cos_sin_turns(r, np.empty_like(r), np.empty((3, *r.shape)))
+    c, s = _cos_sin_turns(_turns((live + 1)[:, None], x0))
     return live + 1, a * c + b * s, b * c - a * s
 
 

@@ -84,8 +84,7 @@ class OccupationFunction:
         order the error grew to 1.6e-15 at alpha t = 1e-4)."""
         x = np.asarray(x, dtype=float)
         h, flat = self.h, x.reshape(-1)
-        r = _turns(np.arange(h.max_mode, 0, -1)[:, None], flat)
-        c, s = _cos_sin_turns(r, np.empty_like(r), np.empty((3, *r.shape)))
+        c, s = _cos_sin_turns(_turns(np.arange(h.max_mode, 0, -1)[:, None], flat))
         terms = h.cos_coeffs[::-1, None] * c + h.sin_coeffs[::-1, None] * s
         out = _sum_rows(np.vstack([terms, np.full((1, flat.size), h.mean)]))
         return out.reshape(x.shape) if x.shape else float(out[0])
@@ -157,8 +156,7 @@ def occupation(
         raise ValueError("A must be a proper subset of the torus")
 
     k = np.arange(1, _series_modes(len(ivs), alpha * t) + 1)
-    r = _turns(k[:, None, None], np.array(ivs))
-    c, s = _cos_sin_turns(r, np.empty_like(r), np.empty((3, *r.shape)))  # (mode, interval, end)
+    c, s = _cos_sin_turns(_turns(k[:, None, None], np.array(ivs)))  # (mode, interval, end)
     ind = FourierFunction(measure, (s[..., 1] - s[..., 0]).sum(axis=1) / (np.pi * k),
                           (c[..., 0] - c[..., 1]).sum(axis=1) / (np.pi * k))
     h = heat_semigroup(ind, diffusivity=alpha, t=t)

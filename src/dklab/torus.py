@@ -81,11 +81,12 @@ def _turns(k, x):
     return turns - np.rint(turns)
 
 
-def _cos_sin_turns(r: np.ndarray, cos: np.ndarray, work: np.ndarray):
+def _cos_sin_turns(r: np.ndarray, cos: np.ndarray | None = None, work: np.ndarray | None = None):
     """(cos 2 pi r, sin 2 pi r) for turns r in [-1/2, 1/2], into cos and r.
 
-    cos has r's shape and work three times it, (3, *r.shape); work is
-    overwritten, and nothing is allocated.
+    cos, of r's shape, and work, of shape (3, *r.shape), are allocated
+    when not given; work is overwritten.  A caller that passes both
+    allocates nothing.
 
     r is split, exactly, into its nearest quarter turn q and a rest in
     [-1/8, 1/8] turns, so libm's cos and sin see only [-pi/4, pi/4], where
@@ -93,6 +94,10 @@ def _cos_sin_turns(r: np.ndarray, cos: np.ndarray, work: np.ndarray):
     is then an exact rotation, by cos(q pi/2) = 1 - |q| and sin(q pi/2) =
     q (2 - |q|) for q in {-2, ..., 2}.
     """
+    if cos is None:
+        cos = np.empty_like(r)
+    if work is None:
+        work = np.empty((3, *r.shape))
     q, cos_q, scratch = work
     r *= 4.0
     np.rint(r, out=q)

@@ -20,7 +20,6 @@ from dklab import (
     sweep,
 )
 from dklab.torus import wrap
-from dklab.vhj import cole_hopf
 from oracles import antithetic_pairings_allocating, kernel_quadrature
 
 
@@ -166,10 +165,11 @@ class TestPieces:
     @pytest.mark.parametrize("replicates", [2 * 10**4, 2 * 10**5])
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     def test_pieces_allocate_nothing(self, n, replicates):
-        # the draws and every pairing array live in the thread's workspace,
-        # and the rhs is cached: once a first call has sized the one and
-        # filled the other, a cell allocates its values and a few small
-        # objects (the block stream ids, about 35 bytes a block)
+        # the draws and every pairing array live in the thread's workspace:
+        # once a first call has sized it, a cell allocates its values and a
+        # few small objects (the block stream ids, about 35 bytes a block);
+        # the rhs solve (about 20 KiB on the 256 grid) is freed before the
+        # values are allocated
         args = (n, equally_spaced_atoms(n), default_f_suite()[2][1], 0.05, replicates, 12)
         run_duality_test(*args)
         tracemalloc.start()
@@ -179,6 +179,23 @@ class TestPieces:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (replicates // 2) + 16 * 1024, peak
+
+    @pytest.mark.parametrize("n, kept", [(2**14, 6 * 2**14 + 3), (3 * 2**13, None)])
+    def test_a_workspace_past_the_cap_bound_is_not_kept(self, n, kept):
+        # one pair of 6 n + 3 entries: kept by the thread up to
+        # _KEPT_ENTRIES (alpha below 3 * 2**13), freed with its cell from there
+        f = default_f_suite()[0][1]
+        left = []
+
+        def run():
+            run_duality_test(n, equally_spaced_atoms(n), f, 1e-3, 4, 5)
+            buf = getattr(duality._local, "buf", None)
+            left.append(None if buf is None else buf.size)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert left == [kept]
 
     def test_threads_running_different_cells_give_the_sequential_reports(self):
         # four threads, switching every 10 us: cells of different alpha
@@ -269,85 +286,6 @@ class TestRhsGrid:
     def test_dom_is_ignored(self):
         args = (1, equally_spaced_atoms(1), default_f_suite()[2][1], 0.001, 2000, 21)
         assert run_duality_test(*args, dom=TorusDomain(8)) == run_duality_test(*args)
-
-
-class TestRhsCache:
-    """laplace_rhs solves each distinct cell once, through the module's cole_hopf."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[0].grid_size)
-            return cole_hopf(*args)
-
-        duality._cell_rhs.cache_clear()
-        monkeypatch.setattr(duality, "cole_hopf", counted)
-        yield calls
-        duality._cell_rhs.cache_clear()
-
-    def test_a_cell_is_solved_once(self, solves):
-        mu0, f = equally_spaced_atoms(2), default_f_suite()[2][1]
-        a = run_duality_test(2, mu0, f, 0.05, 2000, 1)
-        b = run_duality_test(2, mu0, f, 0.05, 2000, 2)
-        assert solves == [256] and a.rhs == b.rhs
-
-    def test_one_bit_of_any_number_is_a_miss(self, solves):
-        up = np.nextafter
-        x0, f = equally_spaced_atoms(3).positions, default_f_suite()[2][1]
-        a, b = f.cos_coeffs, f.sin_coeffs
-
-        def fn(mean=f.mean, cos=a, sin=b):
-            return FourierFunction(mean, cos, sin)
-
-        def cell(x=x0, g=None, alpha=3, t=0.05):
-            return EmpiricalMeasure(x), g or fn(), alpha, t
-
-        cells = [
-            cell(),
-            cell(x=np.where(np.arange(3) == 1, up(x0, 1), x0)),
-            cell(g=fn(mean=up(f.mean, 2))),
-            cell(g=fn(cos=np.where(np.arange(a.size) == 2, up(a, 1), a))),
-            cell(g=fn(sin=np.where(np.arange(b.size) == 1, up(b, 1), b))),
-            cell(alpha=up(3.0, 4)),
-            cell(t=up(0.05, 1)),
-            cell(t=0.0),
-            cell(t=-0.0),
-        ]
-        for i, c in enumerate(cells):
-            laplace_rhs(*c)
-            assert len(solves) == i + 1
-        for c in cells:  # every one of them is now a hit
-            laplace_rhs(*c)
-        assert len(solves) == len(cells)
-
-    def test_a_hit_is_bitwise_the_miss(self, solves):
-        args = (5, equally_spaced_atoms(5), default_f_suite()[1][1], 0.1, 2000, 3)
-        miss = run_duality_test(*args)
-        hit = run_duality_test(*args)
-        assert len(solves) == 1
-        assert np.float64(hit.rhs).tobytes() == np.float64(miss.rhs).tobytes()
-        assert repr(hit) == repr(miss)
-
-    def test_an_unresolved_f_is_never_kept(self, solves):
-        f = FourierFunction.from_modes(mean=1.0, cos={12000: 0.5})
-        for attempt in (1, 2):
-            with pytest.raises(ValueError, match="not resolved"):
-                laplace_rhs(EmpiricalMeasure([0.5]), f, 1, 0.001)
-            assert solves == [32768, 65536] * attempt
-        assert duality._cell_rhs.cache_info().currsize == 0
-
-    def test_the_cache_stays_bounded(self, solves):
-        mu0, f = equally_spaced_atoms(1), default_f_suite()[0][1]
-        times = [k * 1e-3 for k in range(duality._RHS_CELLS + 3)]
-        for t in times:
-            laplace_rhs(mu0, f, 1, t)
-        assert duality._cell_rhs.cache_info().currsize == duality._RHS_CELLS
-        laplace_rhs(mu0, f, 1, times[-1])  # kept
-        assert len(solves) == len(times)
-        laplace_rhs(mu0, f, 1, times[0])  # the least recently used, dropped
-        assert len(solves) == len(times) + 1
 
 
 def pairings_long_double(f, x0, step):
