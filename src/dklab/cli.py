@@ -3,11 +3,14 @@
 Subcommands: duality, martingale, pgf, breakdown, vhj-check, replay.
 Each run writes a comma-separated results table (one fixed column schema
 per experiment, documented in docs/results_schema.md) and a structured-text
-manifest sufficient to reproduce the table byte for byte.  Exit codes:
-0 pass, 1 usage/config error (a request too large for memory, or a
-statistic that is not finite, is refused the same way), 2 statistical
-failure (a degenerate cell, its standard error down to round-off, scores
-z = 0 if it matches its target to 1e-9, else inf), 3 I/O failure.
+UTF-8 manifest sufficient to reproduce the table byte for byte; both are
+written over an existing file in place and cut to length, not truncated
+first, and neither write is atomic.  Exit codes: 0 pass, 1 usage/config
+error (argparse's errors included: an unknown flag, a value of the wrong
+type or a stray word; a request too large for memory, or a statistic that
+is not finite, is refused the same way), 2 statistical failure (a
+degenerate cell, its standard error down to round-off, scores z = 0 if it
+matches its target to 1e-9, else inf), 3 I/O failure.
 
 The config schema is written once, as the fields of RunConfig: the
 flags, the config-file keys, their defaults and the manifest's config
@@ -27,6 +30,8 @@ import functools
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -134,13 +139,21 @@ def _typed(name: str, value):
         raise UsageError(f"{name}: cannot read {value!r} as {_TYPES[name].__name__}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use.
 
-    argparse keeps no state between parse_args calls, so every call shares it.
+    argparse keeps no state between parse_args calls, so every call shares
+    it; its subcommand parsers are of its class, so they raise UsageError too.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dklab",
         description="Numerical experiments on the square-root-noise conservative SPDE",
     )
@@ -246,9 +259,28 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> bytes:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     blob = ("\n".join(lines) + "\n").encode()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    _overwrite(path, blob)
     return blob
+
+
+def _overwrite(path: str, data: bytes) -> None:
+    """Write data over the file at path in place, then cut the file to its length.
+
+    The file is created as open(path, "wb") would create it (mode 0o666
+    under the umask), but an existing one is not truncated first: freeing
+    its old blocks costs far more than writing over them.  Only a regular
+    file longer than data is cut, so a device or a FIFO is written as it is.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size != len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +443,7 @@ def _manifest_text(cfg: RunConfig, verdicts, seeds, digest, wall, threads) -> st
 
 def parse_manifest(path: str) -> dict:
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or "=" not in line:
@@ -443,8 +475,8 @@ def run(cfg: RunConfig) -> int:
         blob = _write_csv(cfg.out, header, rows)
         digest = hashlib.sha256(blob).hexdigest()
         wall = time.perf_counter() - start
-        with open(cfg.out + ".manifest", "w") as fh:
-            fh.write(_manifest_text(cfg, verdicts, seeds, digest, wall, threads))
+        manifest = _manifest_text(cfg, verdicts, seeds, digest, wall, threads)
+        _overwrite(cfg.out + ".manifest", manifest.encode())
     except OSError as exc:
         print(f"dklab: I/O failure: {exc}", file=sys.stderr)
         return 3

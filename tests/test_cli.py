@@ -1,8 +1,10 @@
 """Command-line orchestration: config precedence, schemas, manifests, replay."""
 
+import hashlib
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 import warnings
@@ -235,6 +237,10 @@ REFUSED = {
     # sqrt(alpha t) leaves the wrapped one-draw positions no fractional bits
     "duality-t-1e30": ["duality", "--alpha", "2", "--t", "1e30"],
     "pgf-t-1e100": ["pgf", "--alpha", "2", "--t", "1e100", "--replicates", "2000"],
+    # argparse's own errors are usage errors too, not the exit 2 of a failed verdict
+    "duality-unknown-flag": ["duality", "--alpha", "1", "--bogus", "1"],
+    "duality-alpha-not-a-number": ["duality", "--alpha", "one"],
+    "duality-stray-word": ["duality", "--alpha", "1", "stray"],
 }
 
 
@@ -251,7 +257,7 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert code == 1
         assert not caught
-        assert err.startswith("dklab: ") and "Traceback" not in err
+        assert err.startswith("dklab: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_vhj_alpha_whose_square_overflows_is_named(self, tmp_path, capsys):
@@ -402,3 +408,71 @@ class TestReproducibility:
         code = run_cli(["replay", "--manifest", str(bad),
                         "--out", str(tmp_path / "re.csv")])
         assert code == 2
+
+
+PGF_RUN = ["pgf", "--alpha", "1.5", "--t", "0.05", "--seed", "21"]
+# unrelated bytes longer and shorter than any output of PGF_RUN
+STALE = {"longer": b"\xff stale bytes\n" * 1000, "shorter": b"old\n"}
+
+
+def _outputs(directory):
+    """The table and the manifest, less its wall_seconds line, of r.csv in directory."""
+    manifest = (directory / "r.csv.manifest").read_bytes().splitlines(keepends=True)
+    return ((directory / "r.csv").read_bytes(),
+            b"".join(line for line in manifest if not line.startswith(b"wall_seconds = ")))
+
+
+class TestOverwrite:
+    """Outputs are written over in place and cut to length, not truncated first."""
+
+    @pytest.mark.parametrize("stale", STALE)
+    def test_stale_outputs_leave_no_trace(self, stale, tmp_path, monkeypatch):
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        fresh.mkdir()
+        used.mkdir()
+        monkeypatch.chdir(fresh)
+        assert run_cli(PGF_RUN + ["--out", "r.csv"]) == 0
+        for name in ("r.csv", "r.csv.manifest", "r.csv.replay", "r.csv.replay.manifest"):
+            (used / name).write_bytes(STALE[stale])
+        monkeypatch.chdir(used)
+        assert run_cli(PGF_RUN + ["--out", "r.csv"]) == 0
+        assert _outputs(used) == _outputs(fresh)
+        assert run_cli(["replay", "--manifest", "r.csv.manifest"]) == 0
+        assert (used / "r.csv.replay").read_bytes() == (fresh / "r.csv").read_bytes()
+
+    def test_new_output_gets_the_mode_of_open_wb(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            cli._overwrite(str(tmp_path / "new"), b"x")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference", "new")]
+        assert modes == [0o640, 0o640]
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(STALE["longer"])
+        link.symlink_to(target)
+        assert run_cli(PGF_RUN + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes().startswith(b"record,k,value,extra,detail\n")
+        assert parse_manifest(str(link) + ".manifest")["results_sha256"] == hashlib.sha256(
+            target.read_bytes()).hexdigest()
+
+    def test_device_is_written_as_it_is(self):
+        cli._overwrite(os.devnull, b"bytes a device takes and keeps nothing of\n")
+
+    def test_directory_at_out_is_an_io_failure(self, tmp_path, capsys):
+        (tmp_path / "d.csv").mkdir()
+        assert run_cli(PGF_RUN + ["--out", str(tmp_path / "d.csv")]) == 3
+        assert capsys.readouterr().err.startswith("dklab: I/O failure: ")
+
+    def test_non_ascii_out_name_is_written_as_utf8(self, tmp_path):
+        out = tmp_path / "résumé-α.csv"
+        assert run_cli(PGF_RUN + ["--out", str(out)]) == 0
+        text = pathlib.Path(f"{out}.manifest").read_bytes().decode("utf-8")
+        assert f"results_file = {out}\n" in text
+        assert run_cli(["replay", "--manifest", f"{out}.manifest"]) == 0
+        assert pathlib.Path(f"{out}.replay").read_bytes() == out.read_bytes()

@@ -149,7 +149,7 @@ def _main_outcome(argv):
         warnings.simplefilter("always")
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse: 2 on a usage error, 0 for --help
+        except SystemExit as exc:  # argparse: 0 for --help (its errors raise UsageError)
             code = exc.code
         except _TooLarge:
             code = None
@@ -162,6 +162,9 @@ def _check_outcome(code, out, err, caught, ran):
     if code is None:  # valid, but too large to run here
         return
     assert code in (0, 1, 2, 3), (code, err)
+    if not ran:
+        # exit 2 is a failed verdict, so a request that ran nothing never exits 2
+        assert code != 2, err
     if code == 1:
         assert err.startswith("dklab: "), err
     if code == 1 and not ran:
